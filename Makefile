@@ -23,13 +23,16 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint fails on any file gofmt would rewrite, then runs go vet.
+# lint fails on any file gofmt would rewrite, then runs go vet — also
+# over the benchmark module, which root ./... does not reach but which
+# imports internal packages, so an API change there breaks its build.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,6 +12,8 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/httpkit"
+	"repro/internal/serve"
 	"repro/internal/wideleak"
 )
 
@@ -41,62 +44,29 @@ type fleetBatch struct {
 	specPart []struct{ part, idx int }
 }
 
-// remoteBatchSubmit is the slice of the daemon's batch-submit response
-// the router needs.
-type remoteBatchSubmit struct {
-	ID string `json:"id"`
-}
-
-// remoteBatchStatus is the slice of the daemon's batch status document
-// the router merges.
-type remoteBatchStatus struct {
-	State    string              `json:"state"`
-	Error    string              `json:"error,omitempty"`
-	RowsDone int                 `json:"rows_done"`
-	Stats    wideleak.BatchStats `json:"stats,omitempty"`
-	WallMS   int64               `json:"wall_ms,omitempty"`
-}
-
-// fleetBatchRow mirrors the daemon's row wire shape; the router
-// re-stamps Seq and remaps Spec to fleet indexes.
-type fleetBatchRow struct {
-	Seq    int64    `json:"seq"`
-	Spec   int      `json:"spec"`
-	App    string   `json:"app"`
-	Err    string   `json:"error,omitempty"`
-	Probes []string `json:"probes,omitempty"`
-	Cells  []string `json:"cells,omitempty"`
-}
-
-// fleetBatchStatus is the router's merged status document.
+// fleetBatchStatus is the router's merged status document: the
+// daemon's batch status over fleet spec indexes, plus where each part
+// lives. Rows merged from the parts keep the daemon's serve.Row shape,
+// with Seq re-stamped and Spec remapped to fleet indexes.
 type fleetBatchStatus struct {
-	ID       string              `json:"id"`
-	State    string              `json:"state"`
-	Error    string              `json:"error,omitempty"`
-	Specs    []wideleak.RunSpec  `json:"specs"`
-	RowsDone int                 `json:"rows_done"`
-	Stats    wideleak.BatchStats `json:"stats,omitempty"`
-	Parts    []fleetBatchPartDoc `json:"parts"`
-	RowsURL  string              `json:"rows_url"`
+	serve.BatchStatus
+	Parts []fleetBatchPartDoc `json:"parts"`
 }
 
 // fleetBatchPartDoc documents one partition in the merged status.
 type fleetBatchPartDoc struct {
-	Replica string `json:"replica"`
-	BatchID string `json:"batch_id"`
-	Specs   []int  `json:"specs"` // fleet spec indexes living on this part
-	State   string `json:"state"`
-	Error   string `json:"error,omitempty"`
+	Replica string         `json:"replica"`
+	BatchID string         `json:"batch_id"`
+	Specs   []int          `json:"specs"` // fleet spec indexes living on this part
+	State   serve.JobState `json:"state"`
+	Error   string         `json:"error,omitempty"`
 }
 
 // batchTarget picks the replica a world key's specs should run on: the
 // first healthy replica in ring-walk order (the owner when it is up).
 func (rt *Router) batchTarget(worldKey string) *replica {
 	for _, id := range rt.ring.sequence(worldKey) {
-		rt.mu.Lock()
-		rep := rt.replicas[id]
-		rt.mu.Unlock()
-		if rep != nil && rep.isHealthy() {
+		if rep := rt.replica(id); rep != nil && rep.isHealthy() {
 			return rep
 		}
 	}
@@ -108,14 +78,11 @@ func (rt *Router) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		Specs       []wideleak.RunSpec `json:"specs"`
 		Concurrency int                `json:"concurrency,omitempty"`
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !httpkit.DecodeJSON(w, r, 4<<20, &req) {
 		return
 	}
 	if len(req.Specs) == 0 {
-		writeError(w, http.StatusBadRequest, "batch needs at least one spec")
+		httpkit.WriteError(w, http.StatusBadRequest, "batch needs at least one spec")
 		return
 	}
 
@@ -131,19 +98,19 @@ func (rt *Router) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	for i, spec := range req.Specs {
 		c, err := spec.Canonicalize()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
+			httpkit.WriteError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
 			return
 		}
 		specs[i] = c
 		worldKey, err := c.WorldKey()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
+			httpkit.WriteError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
 			return
 		}
 		rep := rt.batchTarget(worldKey)
 		if rep == nil {
 			rt.metrics.addUnroutable()
-			writeError(w, http.StatusServiceUnavailable, "no healthy replica")
+			httpkit.WriteError(w, http.StatusServiceUnavailable, "no healthy replica")
 			return
 		}
 		p := parts[rep.id]
@@ -156,14 +123,14 @@ func (rt *Router) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		p.specIdx = append(p.specIdx, i)
 	}
 
-	// Submit one sub-batch per replica. A failed part cancels the ones
-	// already placed — a fleet batch exists whole or not at all.
+	// Submit one sub-batch per replica. A failed or shed part cancels the
+	// ones already placed — a fleet batch exists whole or not at all.
 	batch := &fleetBatch{specs: specs}
 	for _, id := range order {
 		p := parts[id]
 		body, err := json.Marshal(map[string]any{"specs": p.specs, "concurrency": req.Concurrency})
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
+			httpkit.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		resp, err := rt.forward(r.Context(), p.rep, http.MethodPost, "/v1/batches", bytes.NewReader(body))
@@ -171,16 +138,26 @@ func (rt *Router) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 			rt.metrics.addProxyError(p.rep.id)
 			rt.noteFailure(p.rep)
 			rt.cancelParts(batch)
-			writeError(w, http.StatusServiceUnavailable, fmt.Sprintf("replica %s: %v", p.rep.id, err))
+			httpkit.WriteError(w, http.StatusServiceUnavailable, fmt.Sprintf("replica %s: %v", p.rep.id, err))
 			return
 		}
-		var remote remoteBatchSubmit
+		var remote serve.BatchSubmitResponse
 		decErr := json.NewDecoder(resp.Body).Decode(&remote)
 		status := resp.StatusCode
 		drainBody(resp)
+		if status == http.StatusTooManyRequests {
+			// The replica's queue is full: relay the shed, as a study
+			// submission would be when no replica can take it.
+			rt.metrics.addReplicaShed(p.rep.id)
+			rt.metrics.addShed()
+			rt.cancelParts(batch)
+			w.Header().Set("Retry-After", "1")
+			httpkit.WriteError(w, http.StatusTooManyRequests, fmt.Sprintf("replica %s shed the sub-batch", p.rep.id))
+			return
+		}
 		if status != http.StatusAccepted || decErr != nil || remote.ID == "" {
 			rt.cancelParts(batch)
-			writeError(w, http.StatusBadGateway, fmt.Sprintf("replica %s answered %d to sub-batch", p.rep.id, status))
+			httpkit.WriteError(w, http.StatusBadGateway, fmt.Sprintf("replica %s answered %d to sub-batch", p.rep.id, status))
 			return
 		}
 		rt.metrics.addBatchPart(p.rep.id)
@@ -206,31 +183,25 @@ func (rt *Router) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	rt.metrics.addBatch()
 
 	w.Header().Set("Location", "/v1/batches/"+batch.id)
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"id":         batch.id,
-		"state":      "queued",
-		"specs":      len(specs),
-		"parts":      len(batch.parts),
-		"status_url": "/v1/batches/" + batch.id,
-		"rows_url":   "/v1/batches/" + batch.id + "/rows",
-	})
+	httpkit.WriteJSON(w, http.StatusAccepted, struct {
+		serve.BatchSubmitResponse
+		Parts int `json:"parts"`
+	}{serve.BatchSubmitResponse{
+		ID:        batch.id,
+		State:     serve.JobQueued,
+		Specs:     len(specs),
+		StatusURL: "/v1/batches/" + batch.id,
+		RowsURL:   "/v1/batches/" + batch.id + "/rows",
+	}, len(batch.parts)})
 }
 
 // cancelParts best-effort cancels every sub-batch already placed.
 func (rt *Router) cancelParts(batch *fleetBatch) {
 	for _, part := range batch.parts {
-		rt.mu.Lock()
-		rep := rt.replicas[part.replicaID]
-		rt.mu.Unlock()
-		if rep == nil {
-			continue
-		}
-		req, err := http.NewRequest(http.MethodDelete, rep.base+"/v1/batches/"+part.remoteID, nil)
-		if err != nil {
-			continue
-		}
-		if resp, err := rt.client.Do(req); err == nil {
-			drainBody(resp)
+		if rep := rt.replica(part.replicaID); rep != nil {
+			if resp, err := rt.forward(context.Background(), rep, http.MethodDelete, "/v1/batches/"+part.remoteID, nil); err == nil {
+				drainBody(resp)
+			}
 		}
 	}
 }
@@ -243,71 +214,67 @@ func (rt *Router) fleetBatchByID(id string) *fleetBatch {
 }
 
 // partStatus fetches one sub-batch's status from its replica.
-func (rt *Router) partStatus(r *http.Request, part fleetBatchPart) (remoteBatchStatus, error) {
-	rt.mu.Lock()
-	rep := rt.replicas[part.replicaID]
-	rt.mu.Unlock()
+func (rt *Router) partStatus(r *http.Request, part fleetBatchPart) (serve.BatchStatus, error) {
+	var st serve.BatchStatus
+	rep := rt.replica(part.replicaID)
 	if rep == nil {
-		return remoteBatchStatus{}, fmt.Errorf("unknown replica %s", part.replicaID)
+		return st, fmt.Errorf("unknown replica %s", part.replicaID)
 	}
 	resp, err := rt.forward(r.Context(), rep, http.MethodGet, "/v1/batches/"+part.remoteID, nil)
 	if err != nil {
 		rt.metrics.addProxyError(rep.id)
 		rt.noteFailure(rep)
-		return remoteBatchStatus{}, err
+		return st, err
 	}
 	defer drainBody(resp)
 	if resp.StatusCode != http.StatusOK {
-		return remoteBatchStatus{}, fmt.Errorf("replica %s answered %d", rep.id, resp.StatusCode)
+		return st, fmt.Errorf("replica %s answered %d", rep.id, resp.StatusCode)
 	}
-	var st remoteBatchStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return remoteBatchStatus{}, err
-	}
-	return st, nil
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	return st, err
 }
 
 // mergeState folds part states into the batch's: any failure dominates,
 // then any still-live part, then cancellation; only all-done is done.
-func mergeState(states []string) string {
+func mergeState(states []serve.JobState) serve.JobState {
 	anyLive, anyCanceled := false, false
 	for _, st := range states {
 		switch st {
-		case "failed":
-			return "failed"
-		case "queued", "running":
+		case serve.JobFailed:
+			return serve.JobFailed
+		case serve.JobQueued, serve.JobRunning:
 			anyLive = true
-		case "canceled":
+		case serve.JobCanceled:
 			anyCanceled = true
 		}
 	}
 	if anyLive {
-		return "running"
+		return serve.JobRunning
 	}
 	if anyCanceled {
-		return "canceled"
+		return serve.JobCanceled
 	}
-	return "done"
+	return serve.JobDone
 }
 
 func (rt *Router) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
 	batch := rt.fleetBatchByID(r.PathValue("id"))
 	if batch == nil {
-		writeError(w, http.StatusNotFound, "no such batch")
+		httpkit.WriteError(w, http.StatusNotFound, "no such batch")
 		return
 	}
-	out := fleetBatchStatus{
+	out := fleetBatchStatus{BatchStatus: serve.BatchStatus{
 		ID:      batch.id,
 		Specs:   batch.specs,
 		RowsURL: "/v1/batches/" + batch.id + "/rows",
-	}
-	states := make([]string, 0, len(batch.parts))
+	}}
+	states := make([]serve.JobState, 0, len(batch.parts))
 	var errs []string
 	for _, part := range batch.parts {
 		doc := fleetBatchPartDoc{Replica: part.replicaID, BatchID: part.remoteID, Specs: part.specIdx}
 		st, err := rt.partStatus(r, part)
 		if err != nil {
-			doc.State, doc.Error = "failed", err.Error()
+			doc.State, doc.Error = serve.JobFailed, err.Error()
 			errs = append(errs, fmt.Sprintf("%s: %v", part.replicaID, err))
 		} else {
 			doc.State, doc.Error = st.State, st.Error
@@ -315,46 +282,26 @@ func (rt *Router) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
 				errs = append(errs, fmt.Sprintf("%s: %s", part.replicaID, st.Error))
 			}
 			out.RowsDone += st.RowsDone
-			out.Stats.Specs += st.Stats.Specs
-			out.Stats.CellsNeeded += st.Stats.CellsNeeded
-			out.Stats.CellsPlanned += st.Stats.CellsPlanned
-			out.Stats.CellsCached += st.Stats.CellsCached
-			out.Stats.CellsExecuted += st.Stats.CellsExecuted
-			out.Stats.WorldsPlanned += st.Stats.WorldsPlanned
-			out.Stats.WorldsBuilt += st.Stats.WorldsBuilt
-			out.Stats.Observations += st.Stats.Observations
-			out.Stats.LegacyPlaybacks += st.Stats.LegacyPlaybacks
-			for profile, n := range st.Stats.DeviceCells {
-				if out.Stats.DeviceCells == nil {
-					out.Stats.DeviceCells = make(map[string]int)
-				}
-				out.Stats.DeviceCells[profile] += n
-			}
-			for dialect, n := range st.Stats.ManifestsServed {
-				if out.Stats.ManifestsServed == nil {
-					out.Stats.ManifestsServed = make(map[string]int)
-				}
-				out.Stats.ManifestsServed[dialect] += n
-			}
+			out.Stats.Add(st.Stats)
 		}
 		states = append(states, doc.State)
 		out.Parts = append(out.Parts, doc)
 	}
 	out.State = mergeState(states)
-	if out.State == "failed" {
+	if out.State == serve.JobFailed {
 		out.Error = strings.Join(errs, "; ")
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpkit.WriteJSON(w, http.StatusOK, out)
 }
 
 func (rt *Router) handleBatchCancel(w http.ResponseWriter, r *http.Request) {
 	batch := rt.fleetBatchByID(r.PathValue("id"))
 	if batch == nil {
-		writeError(w, http.StatusNotFound, "no such batch")
+		httpkit.WriteError(w, http.StatusNotFound, "no such batch")
 		return
 	}
 	rt.cancelParts(batch)
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": batch.id, "state": "canceling"})
+	httpkit.WriteJSON(w, http.StatusAccepted, map[string]any{"id": batch.id, "state": "canceling"})
 }
 
 // handleBatchTable proxies one fleet spec's table to the part that ran
@@ -362,21 +309,19 @@ func (rt *Router) handleBatchCancel(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleBatchTable(w http.ResponseWriter, r *http.Request) {
 	batch := rt.fleetBatchByID(r.PathValue("id"))
 	if batch == nil {
-		writeError(w, http.StatusNotFound, "no such batch")
+		httpkit.WriteError(w, http.StatusNotFound, "no such batch")
 		return
 	}
 	idx, err := strconv.Atoi(r.PathValue("spec"))
 	if err != nil || idx < 0 || idx >= len(batch.specs) {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("batch has specs 0..%d", len(batch.specs)-1))
+		httpkit.WriteError(w, http.StatusNotFound, fmt.Sprintf("batch has specs 0..%d", len(batch.specs)-1))
 		return
 	}
 	loc := batch.specPart[idx]
 	part := batch.parts[loc.part]
-	rt.mu.Lock()
-	rep := rt.replicas[part.replicaID]
-	rt.mu.Unlock()
+	rep := rt.replica(part.replicaID)
 	if rep == nil {
-		writeError(w, http.StatusInternalServerError, "batch part mapped to unknown replica")
+		httpkit.WriteError(w, http.StatusInternalServerError, "batch part mapped to unknown replica")
 		return
 	}
 	path := fmt.Sprintf("/v1/batches/%s/tables/%d", part.remoteID, loc.idx)
@@ -387,7 +332,7 @@ func (rt *Router) handleBatchTable(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		rt.metrics.addProxyError(rep.id)
 		rt.noteFailure(rep)
-		writeError(w, http.StatusBadGateway, err.Error())
+		httpkit.WriteError(w, http.StatusBadGateway, err.Error())
 		return
 	}
 	relayResponse(w, resp, rep.id)
@@ -396,7 +341,7 @@ func (rt *Router) handleBatchTable(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleBatchRows(w http.ResponseWriter, r *http.Request) {
 	batch := rt.fleetBatchByID(r.PathValue("id"))
 	if batch == nil {
-		writeError(w, http.StatusNotFound, "no such batch")
+		httpkit.WriteError(w, http.StatusNotFound, "no such batch")
 		return
 	}
 	if r.URL.Query().Get("stream") != "" {
@@ -405,11 +350,9 @@ func (rt *Router) handleBatchRows(w http.ResponseWriter, r *http.Request) {
 	}
 	// Merge each part's backlog: remap spec indexes, order by (part,
 	// part-local seq), re-stamp fleet Seq.
-	var merged []fleetBatchRow
+	merged := []serve.Row{}
 	for pi, part := range batch.parts {
-		rt.mu.Lock()
-		rep := rt.replicas[part.replicaID]
-		rt.mu.Unlock()
+		rep := rt.replica(part.replicaID)
 		if rep == nil {
 			continue
 		}
@@ -417,14 +360,14 @@ func (rt *Router) handleBatchRows(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			rt.metrics.addProxyError(rep.id)
 			rt.noteFailure(rep)
-			writeError(w, http.StatusBadGateway, fmt.Sprintf("replica %s: %v", rep.id, err))
+			httpkit.WriteError(w, http.StatusBadGateway, fmt.Sprintf("replica %s: %v", rep.id, err))
 			return
 		}
-		var rows []fleetBatchRow
+		var rows []serve.Row
 		decErr := json.NewDecoder(resp.Body).Decode(&rows)
 		drainBody(resp)
 		if decErr != nil {
-			writeError(w, http.StatusBadGateway, fmt.Sprintf("replica %s: %v", rep.id, decErr))
+			httpkit.WriteError(w, http.StatusBadGateway, fmt.Sprintf("replica %s: %v", rep.id, decErr))
 			return
 		}
 		for _, row := range rows {
@@ -440,10 +383,7 @@ func (rt *Router) handleBatchRows(w http.ResponseWriter, r *http.Request) {
 	for i := range merged {
 		merged[i].Seq = int64(i + 1)
 	}
-	if merged == nil {
-		merged = []fleetBatchRow{}
-	}
-	writeJSON(w, http.StatusOK, merged)
+	httpkit.WriteJSON(w, http.StatusOK, merged)
 }
 
 // streamBatchRows fans every part's SSE row stream into one: a reader
@@ -451,29 +391,25 @@ func (rt *Router) handleBatchRows(w http.ResponseWriter, r *http.Request) {
 // serializes them, re-stamping a fleet-level Seq (strictly ascending in
 // delivery order), and closes with one merged `event: done`.
 func (rt *Router) streamBatchRows(w http.ResponseWriter, r *http.Request, batch *fleetBatch) {
-	flusher, ok := w.(http.Flusher)
+	stream, ok := httpkit.NewEventStream(w)
 	if !ok {
-		writeError(w, http.StatusNotImplemented, "streaming unsupported")
 		return
 	}
 
-	type partDone struct{ state string }
-	rowCh := make(chan fleetBatchRow, 64)
-	doneCh := make(chan partDone, len(batch.parts))
+	rowCh := make(chan serve.Row, 64)
+	doneCh := make(chan serve.JobState, len(batch.parts))
 	var wg sync.WaitGroup
 	for _, part := range batch.parts {
-		rt.mu.Lock()
-		rep := rt.replicas[part.replicaID]
-		rt.mu.Unlock()
+		rep := rt.replica(part.replicaID)
 		if rep == nil {
-			doneCh <- partDone{state: "failed"}
+			doneCh <- serve.JobFailed
 			continue
 		}
 		wg.Add(1)
 		go func(part fleetBatchPart, rep *replica) {
 			defer wg.Done()
-			state := "failed"
-			defer func() { doneCh <- partDone{state: state} }()
+			state := serve.JobFailed
+			defer func() { doneCh <- state }()
 			resp, err := rt.forward(r.Context(), rep, http.MethodGet, "/v1/batches/"+part.remoteID+"/rows?stream=1", nil)
 			if err != nil {
 				rt.metrics.addProxyError(rep.id)
@@ -491,7 +427,7 @@ func (rt *Router) streamBatchRows(w http.ResponseWriter, r *http.Request, batch 
 					data := strings.TrimPrefix(line, "data: ")
 					switch event {
 					case "row":
-						var row fleetBatchRow
+						var row serve.Row
 						if json.Unmarshal([]byte(data), &row) != nil {
 							return
 						}
@@ -506,7 +442,7 @@ func (rt *Router) streamBatchRows(w http.ResponseWriter, r *http.Request, batch 
 						}
 					case "done":
 						var fin struct {
-							State string `json:"state"`
+							State serve.JobState `json:"state"`
 						}
 						if json.Unmarshal([]byte(data), &fin) == nil {
 							state = fin.State
@@ -522,10 +458,6 @@ func (rt *Router) streamBatchRows(w http.ResponseWriter, r *http.Request, batch 
 		close(rowCh)
 	}()
 
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
 	var seq int64
 	for row := range rowCh {
 		seq++
@@ -534,19 +466,16 @@ func (rt *Router) streamBatchRows(w http.ResponseWriter, r *http.Request, batch 
 		if err != nil {
 			return
 		}
-		if _, err := fmt.Fprintf(w, "event: row\ndata: %s\n\n", data); err != nil {
+		if stream.Send("row", data) != nil {
 			// Client gone: drain readers via their context and bail.
 			for range rowCh {
 			}
 			return
 		}
-		flusher.Flush()
 	}
-	states := make([]string, 0, len(batch.parts))
+	states := make([]serve.JobState, 0, len(batch.parts))
 	for range batch.parts {
-		fin := <-doneCh
-		states = append(states, fin.state)
+		states = append(states, <-doneCh)
 	}
-	fmt.Fprintf(w, "event: done\ndata: {\"state\":%q}\n\n", mergeState(states))
-	flusher.Flush()
+	stream.Done(string(mergeState(states)))
 }

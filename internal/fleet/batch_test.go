@@ -181,7 +181,7 @@ func TestRouter_BatchFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []fleetBatchRow
+	var rows []serve.Row
 	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestRouter_BatchFanout(t *testing.T) {
 		case strings.HasPrefix(line, "data: "):
 			data := strings.TrimPrefix(line, "data: ")
 			if event == "row" {
-				var row fleetBatchRow
+				var row serve.Row
 				if err := json.Unmarshal([]byte(data), &row); err != nil {
 					t.Fatalf("bad row frame %q: %v", data, err)
 				}
@@ -249,5 +249,83 @@ func TestRouter_BatchFanout(t *testing.T) {
 
 	if got := scrape(t, base+"/metrics", "wideleakfleet_batches_total"); got != "1" {
 		t.Errorf("wideleakfleet_batches_total = %q, want 1", got)
+	}
+}
+
+// TestRouter_BatchShed: when a sub-batch's replica sheds it with 429 (its
+// queue is full), the router relays 429 + Retry-After, counts the shed,
+// and cancels the parts it had already placed.
+func TestRouter_BatchShed(t *testing.T) {
+	f := startFleet(t, 2, serve.Config{Workers: 1, QueueSize: 1})
+	base := f.URL
+
+	seedA := "batch-shed-a"
+	ownerA := f.Router.OwnerOf(worldKeyOf(t, wideleak.RunSpec{Seed: seedA}))
+	seedB := ""
+	for i := 0; i < 64; i++ {
+		cand := fmt.Sprintf("batch-shed-b%d", i)
+		if f.Router.OwnerOf(worldKeyOf(t, wideleak.RunSpec{Seed: cand})) != ownerA {
+			seedB = cand
+			break
+		}
+	}
+	if seedB == "" {
+		t.Fatal("no candidate seed hashed to the second replica")
+	}
+	ownerB := f.Router.OwnerOf(worldKeyOf(t, wideleak.RunSpec{Seed: seedB}))
+
+	// Hold both workers with a running study each, then fill A's queue.
+	waitRunning := func(id string) {
+		deadline := time.Now().Add(60 * time.Second)
+		for {
+			if st, _ := getFleetStatus(t, base, id); st.State == "running" {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("study %s never started running", id)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	runA, _ := fleetSubmit(t, base, fmt.Sprintf(`{"seed": %q, "profiles": ["Showtime"]}`, seedA), http.StatusAccepted)
+	runB, _ := fleetSubmit(t, base, fmt.Sprintf(`{"seed": %q, "profiles": ["Showtime"]}`, seedB), http.StatusAccepted)
+	waitRunning(runA.ID)
+	waitRunning(runB.ID)
+	fleetSubmit(t, base, fmt.Sprintf(`{"seed": %q, "profiles": ["Showtime"], "probes": ["q2"]}`, seedA), http.StatusAccepted)
+
+	// Spec 0 places a part on B's free queue slot; spec 1's part sheds on A.
+	specs := []wideleak.RunSpec{
+		{Seed: seedB, Profiles: []string{"Showtime"}, Probes: []string{"q2"}},
+		{Seed: seedA, Profiles: []string{"Showtime"}, Probes: []string{"q3"}},
+	}
+	body, err := json.Marshal(map[string]any{"specs": specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/batches", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("batch onto a full replica = %d, want 429 (body: %s)", resp.StatusCode, buf.String())
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("429 missing Retry-After")
+	}
+	if got := scrape(t, base+"/metrics", "wideleakfleet_shed_total"); got != "1" {
+		t.Errorf("wideleakfleet_shed_total = %q, want 1", got)
+	}
+	if got := scrape(t, base+"/metrics", fmt.Sprintf("wideleakfleet_replica_shed_total{replica=%q}", ownerA)); got != "1" {
+		t.Errorf("replica_shed_total{%s} = %q, want 1", ownerA, got)
+	}
+	if got := scrape(t, base+"/metrics", "wideleakfleet_batches_total"); got != "0" {
+		t.Errorf("wideleakfleet_batches_total = %q, want 0 (the batch was refused)", got)
+	}
+	// The part already placed on B was cancelled.
+	if got := scrape(t, f.Replica(ownerB).URL+"/metrics", `wideleakd_batches_total{state="canceled"}`); got != "1" {
+		t.Errorf("replica %s canceled batches = %q, want 1", ownerB, got)
 	}
 }

@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
+	"maps"
 	"strings"
 	"sync"
+
+	"repro/internal/httpkit"
 )
 
 // Metrics is the router's fleet-level instrumentation, rendered in the
@@ -24,16 +26,16 @@ type Metrics struct {
 	failovers   int64            // jobs resubmitted after their replica was lost
 	batches     int64            // batch submissions fanned out across the ring
 
-	requestSeconds *histogram // every proxied request, router-observed wall time
-	submitSeconds  *histogram // POST /v1/studies only
+	requestSeconds *httpkit.Histogram // every proxied request, router-observed wall time
+	submitSeconds  *httpkit.Histogram // POST /v1/studies only
 
 	// live state sampled at render time
-	replicaHealthy  func() map[string]bool
+	replicaHealthy  func() map[string]int64 // 1 healthy, 0 not
 	replicaInflight func() map[string]int64
 	ringShares      func() map[string]float64
 }
 
-func newFleetMetrics(healthy func() map[string]bool, inflight func() map[string]int64, shares func() map[string]float64) *Metrics {
+func newFleetMetrics(healthy func() map[string]int64, inflight func() map[string]int64, shares func() map[string]float64) *Metrics {
 	return &Metrics{
 		routed:      make(map[string]int64),
 		spilled:     make(map[string]int64),
@@ -42,8 +44,8 @@ func newFleetMetrics(healthy func() map[string]bool, inflight func() map[string]
 		batchParts:  make(map[string]int64),
 		// Warm fleet hits are sub-millisecond; a failover rerun of a cold
 		// ten-app study reaches tens of seconds.
-		requestSeconds:  newHistogram(.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30),
-		submitSeconds:   newHistogram(.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30),
+		requestSeconds:  httpkit.NewHistogram(.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30),
+		submitSeconds:   httpkit.NewHistogram(.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30),
 		replicaHealthy:  healthy,
 		replicaInflight: inflight,
 		ringShares:      shares,
@@ -63,11 +65,10 @@ func (m *Metrics) addReplicaShed(replica string) { m.inc(m.replicaShed, replica)
 func (m *Metrics) addProxyError(replica string)  { m.inc(m.proxyErrors, replica) }
 func (m *Metrics) addBatchPart(replica string)   { m.inc(m.batchParts, replica) }
 
-func (m *Metrics) addBatch() {
-	m.mu.Lock()
-	m.batches++
-	m.mu.Unlock()
-}
+func (m *Metrics) addBatch()      { m.add(&m.batches) }
+func (m *Metrics) addShed()       { m.add(&m.shed) }
+func (m *Metrics) addUnroutable() { m.add(&m.unroutable) }
+func (m *Metrics) addFailover()   { m.add(&m.failovers) }
 
 func (m *Metrics) inc(field map[string]int64, replica string) {
 	m.mu.Lock()
@@ -75,21 +76,9 @@ func (m *Metrics) inc(field map[string]int64, replica string) {
 	m.mu.Unlock()
 }
 
-func (m *Metrics) addShed() {
+func (m *Metrics) add(field *int64) {
 	m.mu.Lock()
-	m.shed++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) addUnroutable() {
-	m.mu.Lock()
-	m.unroutable++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) addFailover() {
-	m.mu.Lock()
-	m.failovers++
+	*field++
 	m.mu.Unlock()
 }
 
@@ -104,33 +93,25 @@ func (m *Metrics) Failovers() int64 {
 func (m *Metrics) Routed() map[string]int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]int64, len(m.routed))
-	for k, v := range m.routed {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(m.routed)
 }
 
 // Spilled reports per-replica submits that landed off-owner (copy).
 func (m *Metrics) Spilled() map[string]int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]int64, len(m.spilled))
-	for k, v := range m.spilled {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(m.spilled)
 }
 
 func (m *Metrics) observeRequest(seconds float64) {
 	m.mu.Lock()
-	m.requestSeconds.observe(seconds)
+	m.requestSeconds.Observe(seconds)
 	m.mu.Unlock()
 }
 
 func (m *Metrics) observeSubmit(seconds float64) {
 	m.mu.Lock()
-	m.submitSeconds.observe(seconds)
+	m.submitSeconds.Observe(seconds)
 	m.mu.Unlock()
 }
 
@@ -145,115 +126,25 @@ func (m *Metrics) Render() string {
 	defer m.mu.Unlock()
 	var b strings.Builder
 
-	labeled := func(name, help string, values map[string]int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, replica := range sortedLabelKeys(values) {
-			fmt.Fprintf(&b, "%s{replica=%q} %d\n", name, replica, values[replica])
-		}
-	}
-	labeled("wideleakfleet_routed_total", "Study submissions landed on each replica.", m.routed)
-	labeled("wideleakfleet_spilled_total", "Submissions that spilled onto this replica instead of the ring owner.", m.spilled)
-	labeled("wideleakfleet_replica_shed_total", "429 responses observed from each replica.", m.replicaShed)
-	labeled("wideleakfleet_proxy_errors_total", "Transport failures talking to each replica.", m.proxyErrors)
-	labeled("wideleakfleet_batch_parts_total", "Batch partitions (one per distinct world owner) landed on each replica.", m.batchParts)
+	httpkit.Labeled(&b, "counter", "wideleakfleet_routed_total", "Study submissions landed on each replica.", "replica", m.routed)
+	httpkit.Labeled(&b, "counter", "wideleakfleet_spilled_total", "Submissions that spilled onto this replica instead of the ring owner.", "replica", m.spilled)
+	httpkit.Labeled(&b, "counter", "wideleakfleet_replica_shed_total", "429 responses observed from each replica.", "replica", m.replicaShed)
+	httpkit.Labeled(&b, "counter", "wideleakfleet_proxy_errors_total", "Transport failures talking to each replica.", "replica", m.proxyErrors)
+	httpkit.Labeled(&b, "counter", "wideleakfleet_batch_parts_total", "Batch partitions (one per distinct world owner) landed on each replica.", "replica", m.batchParts)
 
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("wideleakfleet_shed_total", "Submissions the fleet rejected because every candidate replica shed.", m.shed)
-	counter("wideleakfleet_unroutable_total", "Requests with no healthy replica to route to.", m.unroutable)
-	counter("wideleakfleet_failovers_total", "Jobs resubmitted to a ring successor after their replica was lost.", m.failovers)
-	counter("wideleakfleet_batches_total", "Batch submissions fanned out across the ring by world key.", m.batches)
+	httpkit.Counter(&b, "wideleakfleet_shed_total", "Submissions the fleet rejected because every candidate replica shed.", m.shed)
+	httpkit.Counter(&b, "wideleakfleet_unroutable_total", "Requests with no healthy replica to route to.", m.unroutable)
+	httpkit.Counter(&b, "wideleakfleet_failovers_total", "Jobs resubmitted to a ring successor after their replica was lost.", m.failovers)
+	httpkit.Counter(&b, "wideleakfleet_batches_total", "Batch submissions fanned out across the ring by world key.", m.batches)
 
-	fmt.Fprintf(&b, "# HELP wideleakfleet_replica_healthy Replica health as seen by the router (1 healthy, 0 not).\n# TYPE wideleakfleet_replica_healthy gauge\n")
-	for _, replica := range sortedBoolKeys(healthy) {
-		v := 0
-		if healthy[replica] {
-			v = 1
-		}
-		fmt.Fprintf(&b, "wideleakfleet_replica_healthy{replica=%q} %d\n", replica, v)
-	}
-	fmt.Fprintf(&b, "# HELP wideleakfleet_replica_inflight Proxied requests currently outstanding per replica.\n# TYPE wideleakfleet_replica_inflight gauge\n")
-	for _, replica := range sortedLabelKeys(inflight) {
-		fmt.Fprintf(&b, "wideleakfleet_replica_inflight{replica=%q} %d\n", replica, inflight[replica])
-	}
-	fmt.Fprintf(&b, "# HELP wideleakfleet_ring_share Fraction of the hash-ring keyspace owned by each replica.\n# TYPE wideleakfleet_ring_share gauge\n")
-	for _, replica := range sortedFloatKeys(shares) {
+	httpkit.Labeled(&b, "gauge", "wideleakfleet_replica_healthy", "Replica health as seen by the router (1 healthy, 0 not).", "replica", healthy)
+	httpkit.Labeled(&b, "gauge", "wideleakfleet_replica_inflight", "Proxied requests currently outstanding per replica.", "replica", inflight)
+	httpkit.Family(&b, "wideleakfleet_ring_share", "Fraction of the hash-ring keyspace owned by each replica.", "gauge")
+	for _, replica := range httpkit.SortedKeys(shares) {
 		fmt.Fprintf(&b, "wideleakfleet_ring_share{replica=%q} %.4f\n", replica, shares[replica])
 	}
 
-	m.requestSeconds.render(&b, "wideleakfleet_request_seconds", "Router-observed wall time of every proxied request.")
-	m.submitSeconds.render(&b, "wideleakfleet_submit_seconds", "Router-observed wall time of study submissions (routing included).")
+	m.requestSeconds.Render(&b, "wideleakfleet_request_seconds", "Router-observed wall time of every proxied request.")
+	m.submitSeconds.Render(&b, "wideleakfleet_submit_seconds", "Router-observed wall time of study submissions (routing included).")
 	return b.String()
-}
-
-func sortedLabelKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedBoolKeys(m map[string]bool) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedFloatKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// histogram is a fixed-bucket Prometheus histogram; callers hold the
-// Metrics lock around observe and render (same shape as the daemon's —
-// the packages are intentionally dependency-free of each other's
-// internals).
-type histogram struct {
-	bounds []float64
-	counts []uint64
-	sum    float64
-	count  uint64
-}
-
-func newHistogram(bounds ...float64) *histogram {
-	return &histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-func (h *histogram) observe(v float64) {
-	h.sum += v
-	h.count++
-	for i, bound := range h.bounds {
-		if v <= bound {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
-}
-
-func (h *histogram) render(b *strings.Builder, name, help string) {
-	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	cumulative := uint64(0)
-	for i, bound := range h.bounds {
-		cumulative += h.counts[i]
-		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", name, trimFloat(bound), cumulative)
-	}
-	cumulative += h.counts[len(h.bounds)]
-	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cumulative)
-	fmt.Fprintf(b, "%s_sum %g\n", name, h.sum)
-	fmt.Fprintf(b, "%s_count %d\n", name, h.count)
-}
-
-func trimFloat(v float64) string {
-	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", v), "0"), ".")
 }

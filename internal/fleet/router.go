@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpkit"
 	"repro/internal/serve"
 	"repro/internal/wideleak"
 )
@@ -197,12 +198,22 @@ func (rt *Router) HealthyIDs() []string {
 	return ids
 }
 
-func (rt *Router) healthSnapshot() map[string]bool {
+// replica looks a member up by ID (nil when unknown).
+func (rt *Router) replica(id string) *replica {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	out := make(map[string]bool, len(rt.replicas))
+	return rt.replicas[id]
+}
+
+func (rt *Router) healthSnapshot() map[string]int64 {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	out := make(map[string]int64, len(rt.replicas))
 	for id, rep := range rt.replicas {
-		out[id] = rep.isHealthy()
+		out[id] = 0
+		if rep.isHealthy() {
+			out[id] = 1
+		}
 	}
 	return out
 }
@@ -308,52 +319,36 @@ func (rt *Router) timed(next http.Handler) http.Handler {
 	})
 }
 
-// remoteSubmit is the slice of wideleakd's submit response the router
-// needs to mint its own.
-type remoteSubmit struct {
-	ID        string `json:"id"`
-	State     string `json:"state"`
-	Cached    bool   `json:"cached"`
-	Coalesced bool   `json:"coalesced,omitempty"`
-}
-
 // fleetSubmitResponse is the router's wire shape for POST /v1/studies —
-// wideleakd's, with the fleet job ID substituted.
+// wideleakd's, with the fleet job ID substituted and the replica named.
 type fleetSubmitResponse struct {
-	ID        string `json:"id"`
-	State     string `json:"state"`
-	Cached    bool   `json:"cached"`
-	Coalesced bool   `json:"coalesced,omitempty"`
-	Replica   string `json:"replica"`
-	StatusURL string `json:"status_url"`
+	serve.SubmitResponse
+	Replica string `json:"replica"`
 }
 
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec wideleak.RunSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !httpkit.DecodeJSON(w, r, 1<<20, &spec) {
 		return
 	}
 	canonical, err := spec.Canonicalize()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key, err := canonical.Key()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	worldKey, err := canonical.WorldKey()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	body, err := json.Marshal(canonical)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		httpkit.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 
@@ -363,16 +358,16 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errAllShed:
 		rt.metrics.addShed()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "every replica shed the submission")
+		httpkit.WriteError(w, http.StatusTooManyRequests, "every replica shed the submission")
 		return
 	case errNoReplica:
 		rt.metrics.addUnroutable()
-		writeError(w, http.StatusServiceUnavailable, "no healthy replica")
+		httpkit.WriteError(w, http.StatusServiceUnavailable, "no healthy replica")
 		return
 	default:
 		// A non-shed replica response the fleet cannot improve on (e.g. a
 		// 400 the local canonicalization missed); relay it.
-		writeError(w, status, routeErr.Error())
+		httpkit.WriteError(w, status, routeErr.Error())
 		return
 	}
 
@@ -398,10 +393,8 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	copyProvenanceHeaders(w.Header(), hdr)
 	w.Header().Set(HeaderReplica, rep.id)
 	w.Header().Set(HeaderRoute, route)
-	writeJSON(w, status, fleetSubmitResponse{
-		ID: job.id, State: remote.State, Cached: remote.Cached, Coalesced: remote.Coalesced,
-		Replica: rep.id, StatusURL: "/v1/studies/" + job.id,
-	})
+	remote.ID, remote.StatusURL = job.id, "/v1/studies/"+job.id
+	httpkit.WriteJSON(w, status, fleetSubmitResponse{SubmitResponse: remote, Replica: rep.id})
 }
 
 var (
@@ -413,10 +406,10 @@ var (
 // owner first, then — on transport failure, 429 shed, or 503 drain —
 // each successor in ring order. Bounded load skips an owner whose
 // outstanding requests exceed LoadFactor × fleet average + 1.
-func (rt *Router) submitToReplica(ctx context.Context, worldKey string, body []byte) (*replica, remoteSubmit, http.Header, int, error) {
+func (rt *Router) submitToReplica(ctx context.Context, worldKey string, body []byte) (*replica, serve.SubmitResponse, http.Header, int, error) {
 	candidates := rt.submitOrder(worldKey)
 	if len(candidates) == 0 {
-		return nil, remoteSubmit{}, nil, 0, errNoReplica
+		return nil, serve.SubmitResponse{}, nil, 0, errNoReplica
 	}
 	sawShed := false
 	for _, rep := range candidates {
@@ -437,7 +430,7 @@ func (rt *Router) submitToReplica(ctx context.Context, worldKey string, body []b
 			rt.noteFailure(rep) // draining: let the health loop confirm
 			continue
 		case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted:
-			var remote remoteSubmit
+			var remote serve.SubmitResponse
 			err := json.NewDecoder(resp.Body).Decode(&remote)
 			hdr := resp.Header
 			status := resp.StatusCode
@@ -459,13 +452,13 @@ func (rt *Router) submitToReplica(ctx context.Context, worldKey string, body []b
 			if e.Error == "" {
 				e.Error = http.StatusText(status)
 			}
-			return nil, remoteSubmit{}, nil, status, fmt.Errorf("%s", e.Error)
+			return nil, serve.SubmitResponse{}, nil, status, fmt.Errorf("%s", e.Error)
 		}
 	}
 	if sawShed {
-		return nil, remoteSubmit{}, nil, 0, errAllShed
+		return nil, serve.SubmitResponse{}, nil, 0, errAllShed
 	}
-	return nil, remoteSubmit{}, nil, 0, errNoReplica
+	return nil, serve.SubmitResponse{}, nil, 0, errNoReplica
 }
 
 // submitOrder builds the attempt order for a world key: healthy replicas
@@ -555,18 +548,16 @@ func (rt *Router) handleJob(suffix string) http.HandlerFunc {
 		job := rt.jobs[r.PathValue("id")]
 		rt.mu.Unlock()
 		if job == nil {
-			writeError(w, http.StatusNotFound, "no such study")
+			httpkit.WriteError(w, http.StatusNotFound, "no such study")
 			return
 		}
 		// One failover attempt per request: if the job's replica is gone,
 		// resubmit its spec to the ring successor, then proxy there.
 		for attempt := 0; attempt < 2; attempt++ {
 			repID, remoteID := job.location()
-			rt.mu.Lock()
-			rep := rt.replicas[repID]
-			rt.mu.Unlock()
+			rep := rt.replica(repID)
 			if rep == nil {
-				writeError(w, http.StatusInternalServerError, "job mapped to unknown replica")
+				httpkit.WriteError(w, http.StatusInternalServerError, "job mapped to unknown replica")
 				return
 			}
 			if !rep.isHealthy() {
@@ -591,10 +582,14 @@ func (rt *Router) handleJob(suffix string) http.HandlerFunc {
 				}
 				continue
 			}
-			relayResponse(w, resp, rep.id)
+			if suffix == "" && r.Method == http.MethodGet && resp.StatusCode == http.StatusOK {
+				relayStudyStatus(w, resp, rep.id, job.id)
+			} else {
+				relayResponse(w, resp, rep.id)
+			}
 			return
 		}
-		writeError(w, http.StatusBadGateway, "replica lost and failover did not converge")
+		httpkit.WriteError(w, http.StatusBadGateway, "replica lost and failover did not converge")
 	}
 }
 
@@ -608,15 +603,12 @@ func (rt *Router) failover(ctx context.Context, job *fleetJob, w http.ResponseWr
 	defer job.mu.Unlock()
 	// Another request may have failed this job over already; if its
 	// current replica is healthy again, just retry against it.
-	rt.mu.Lock()
-	cur := rt.replicas[job.replicaID]
-	rt.mu.Unlock()
-	if cur != nil && cur.isHealthy() {
+	if cur := rt.replica(job.replicaID); cur != nil && cur.isHealthy() {
 		return true
 	}
 	rep, remote, _, _, err := rt.submitToReplica(ctx, job.worldKey, job.specBody)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, fmt.Sprintf("replica lost and failover failed: %v", err))
+		httpkit.WriteError(w, http.StatusServiceUnavailable, fmt.Sprintf("replica lost and failover failed: %v", err))
 		return false
 	}
 	job.replicaID = rep.id
@@ -630,6 +622,39 @@ func (rt *Router) failover(ctx context.Context, job *fleetJob, w http.ResponseWr
 // eagerly for event streams so SSE stays live through the router.
 func relayResponse(w http.ResponseWriter, resp *http.Response, replicaID string) {
 	defer resp.Body.Close()
+	relayHeaders(w, resp, replicaID)
+	w.WriteHeader(resp.StatusCode)
+	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
+		flushCopy(w, resp.Body)
+		return
+	}
+	io.Copy(w, resp.Body)
+}
+
+// relayStudyStatus relays a replica's study status document with the
+// replica-local job ID and URLs rewritten to the fleet job's, so every
+// link in it resolves through the router.
+func relayStudyStatus(w http.ResponseWriter, resp *http.Response, replicaID, fleetID string) {
+	defer resp.Body.Close()
+	var st serve.StudyStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		httpkit.WriteError(w, http.StatusBadGateway, fmt.Sprintf("replica %s: %v", replicaID, err))
+		return
+	}
+	st.ID = fleetID
+	if st.TableURL != "" {
+		st.TableURL = "/v1/studies/" + fleetID + "/table"
+	}
+	if st.EventsURL != "" {
+		st.EventsURL = "/v1/studies/" + fleetID + "/events"
+	}
+	relayHeaders(w, resp, replicaID)
+	httpkit.WriteJSON(w, resp.StatusCode, st)
+}
+
+// relayHeaders copies the replica headers a client may act on and names
+// the replica.
+func relayHeaders(w http.ResponseWriter, resp *http.Response, replicaID string) {
 	copyProvenanceHeaders(w.Header(), resp.Header)
 	for _, h := range []string{"Content-Type", "Cache-Control", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
@@ -637,12 +662,6 @@ func relayResponse(w http.ResponseWriter, resp *http.Response, replicaID string)
 		}
 	}
 	w.Header().Set(HeaderReplica, replicaID)
-	w.WriteHeader(resp.StatusCode)
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		flushCopy(w, resp.Body)
-		return
-	}
-	io.Copy(w, resp.Body)
 }
 
 // flushCopy streams body to the client, flushing after every chunk.
@@ -682,14 +701,9 @@ type replicaStudies struct {
 }
 
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	rt.mu.Lock()
-	reps := make([]*replica, 0, len(rt.replicas))
+	out := make([]replicaStudies, 0, len(rt.ring.ids))
 	for _, id := range rt.ring.ids {
-		reps = append(reps, rt.replicas[id])
-	}
-	rt.mu.Unlock()
-	out := make([]replicaStudies, 0, len(reps))
-	for _, rep := range reps {
+		rep := rt.replica(id)
 		entry := replicaStudies{Replica: rep.id}
 		if !rep.isHealthy() {
 			entry.Error = "unhealthy"
@@ -712,12 +726,11 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, entry)
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpkit.WriteJSON(w, http.StatusOK, out)
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, rt.metrics.Render())
+	httpkit.WriteMetrics(w, rt.metrics.Render())
 }
 
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -729,19 +742,9 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if healthy == 0 {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, map[string]any{
+	httpkit.WriteJSON(w, status, map[string]any{
 		"status":   map[bool]string{true: "ok", false: "no healthy replica"}[healthy > 0],
 		"healthy":  healthy,
 		"replicas": total,
 	})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

@@ -58,6 +58,9 @@ func fleetSubmit(t *testing.T, base, body string, wantStatus int) (fleetSubmitRe
 
 // fleetStatus is the slice of a job-status document the tests read.
 type fleetStatus struct {
+	ID           string `json:"id"`
+	TableURL     string `json:"table_url"`
+	EventsURL    string `json:"events_url"`
 	State        string `json:"state"`
 	Error        string `json:"error"`
 	Observations int    `json:"observations"`
@@ -357,5 +360,35 @@ func TestRouter_FailoverMidRun(t *testing.T) {
 	routed := f.Router.Metrics().Routed()
 	if routed[owner] != 1 {
 		t.Errorf("routed_total{%s} = %d, want 1 (only the pre-kill submit)", owner, routed[owner])
+	}
+}
+
+// TestRouter_StudyStatusLinks: a study's status read through the router
+// names the fleet job, and its table and event links resolve through the
+// router to the same bytes as the fleet job's own endpoints.
+func TestRouter_StudyStatusLinks(t *testing.T) {
+	f := startFleet(t, 2, serve.Config{Workers: 1})
+	base := f.URL
+
+	sub, _ := fleetSubmit(t, base, `{"seed": "status-links", "profiles": ["Showtime"], "probes": ["q2"]}`, http.StatusAccepted)
+	st, _ := waitFleetDone(t, base, sub.ID, 120*time.Second)
+	if st.ID != sub.ID {
+		t.Errorf("status id = %q, want the fleet id %q", st.ID, sub.ID)
+	}
+	if want := "/v1/studies/" + sub.ID + "/events"; st.EventsURL != want {
+		t.Errorf("events_url = %q, want %q", st.EventsURL, want)
+	}
+	resp, err := http.Get(base + st.TableURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET table_url %s through the router = %d (body: %s)", st.TableURL, resp.StatusCode, buf.String())
+	}
+	if want := fetchFleetTable(t, base, sub.ID, ""); !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("table_url bytes differ from the fleet job's table")
 	}
 }

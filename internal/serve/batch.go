@@ -1,229 +1,30 @@
 package serve
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"sync"
-	"time"
 
-	"repro/internal/netsim"
+	"repro/internal/httpkit"
 	"repro/internal/wideleak"
-	"repro/internal/wideleak/probe"
 )
 
 // Batch API: POST /v1/batches plans a slice of RunSpecs as one
 // deduplicated cell matrix and executes it through the shared cell
 // cache, so overlapping specs (same world, overlapping probes or
-// profiles) pay for their union once instead of N full runs. Rows
-// stream out as cells complete:
+// profiles) pay for their union once instead of N full runs. A batch is
+// the same Job a study is, with N specs: it waits in the same queue
+// (and is shed with 429 when it is full), runs on the same workers, and
+// logs its rows as frames that stream out as cells complete:
 //
 //	POST   /v1/batches                    submit {specs: [RunSpec, ...], concurrency}
 //	GET    /v1/batches                    list batches, newest first
 //	GET    /v1/batches/{id}               batch status + sharing stats
-//	DELETE /v1/batches/{id}               cancel a running batch
+//	DELETE /v1/batches/{id}               cancel a queued or running batch
 //	GET    /v1/batches/{id}/rows          completed rows (?stream=1 for SSE)
 //	GET    /v1/batches/{id}/tables/{spec} one spec's table (?format=txt|csv|json)
 
-// batchRow is the wire shape of one completed row: which spec and app
-// it belongs to, a monotonically increasing per-batch sequence stamp,
-// and the rendered cells (or the transport annotation).
-type batchRow struct {
-	Seq    int64    `json:"seq"`
-	Spec   int      `json:"spec"`
-	App    string   `json:"app"`
-	Err    string   `json:"error,omitempty"`
-	Probes []string `json:"probes,omitempty"`
-	Cells  []string `json:"cells,omitempty"`
-}
-
-// batchJob is one batch submission: the canonical specs, lifecycle
-// state, the row backlog + live subscriptions, and — once done — the
-// per-spec encoded tables and sharing stats.
-type batchJob struct {
-	ID    string
-	specs []wideleak.RunSpec
-
-	mu        sync.Mutex
-	state     JobState
-	errText   string
-	tables    []map[string][]byte // per spec: format → bytes
-	stats     wideleak.BatchStats
-	rows      []batchRow
-	subs      []chan batchRow
-	done      chan struct{}
-	cancel    context.CancelFunc
-	cancelled bool
-
-	concurrency int
-	submitted   time.Time
-	finished    time.Time
-	wall        time.Duration
-}
-
-func newBatchJob(id string, specs []wideleak.RunSpec, concurrency int) *batchJob {
-	return &batchJob{
-		ID:          id,
-		specs:       specs,
-		state:       JobQueued,
-		done:        make(chan struct{}),
-		concurrency: concurrency,
-		submitted:   time.Now(),
-	}
-}
-
-// State returns the batch's lifecycle phase.
-func (b *batchJob) State() JobState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
-// start transitions queued → running; false when already cancelled.
-func (b *batchJob) start(cancel context.CancelFunc) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state != JobQueued {
-		return false
-	}
-	b.state = JobRunning
-	b.cancel = cancel
-	if b.cancelled {
-		cancel()
-	}
-	return true
-}
-
-// finish publishes the terminal state and closes every row stream.
-func (b *batchJob) finish(state JobState, errText string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state.terminal() {
-		return
-	}
-	b.state = state
-	b.errText = errText
-	b.finished = time.Now()
-	b.wall = b.finished.Sub(b.submitted)
-	b.cancel = nil
-	for _, ch := range b.subs {
-		close(ch)
-	}
-	b.subs = nil
-	close(b.done)
-}
-
-// requestCancel mirrors Job.requestCancel for batches.
-func (b *batchJob) requestCancel() bool {
-	b.mu.Lock()
-	if b.state.terminal() {
-		b.mu.Unlock()
-		return false
-	}
-	b.cancelled = true
-	if b.cancel != nil {
-		b.mu.Unlock()
-		b.cancel()
-		return true
-	}
-	b.state = JobCanceled
-	b.errText = "canceled before start"
-	b.finished = time.Now()
-	for _, ch := range b.subs {
-		close(ch)
-	}
-	b.subs = nil
-	close(b.done)
-	b.mu.Unlock()
-	return true
-}
-
-// appendRow stamps the batch sequence number onto one completed row,
-// records it, and fans it out to live subscribers (slow subscribers
-// drop, as with job events — the rows endpoint re-reads the backlog).
-// The matrix executor calls OnRow serially, so Seq order is also
-// delivery order.
-func (b *batchJob) appendRow(row batchRow) {
-	b.mu.Lock()
-	row.Seq = int64(len(b.rows) + 1)
-	b.rows = append(b.rows, row)
-	for _, ch := range b.subs {
-		select {
-		case ch <- row:
-		default:
-		}
-	}
-	b.mu.Unlock()
-}
-
-// subscribeRows snapshots the backlog and, for a live batch, opens a
-// channel carrying every later row (closed at terminal state).
-func (b *batchJob) subscribeRows() ([]batchRow, <-chan batchRow) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	snapshot := append([]batchRow(nil), b.rows...)
-	if b.state.terminal() {
-		return snapshot, nil
-	}
-	ch := make(chan batchRow, 256)
-	b.subs = append(b.subs, ch)
-	return snapshot, ch
-}
-
-// batchStatus is the wire shape of GET /v1/batches/{id}.
-type batchStatus struct {
-	ID       string              `json:"id"`
-	State    JobState            `json:"state"`
-	Error    string              `json:"error,omitempty"`
-	Specs    []wideleak.RunSpec  `json:"specs"`
-	RowsDone int                 `json:"rows_done"`
-	Stats    wideleak.BatchStats `json:"stats,omitempty"`
-	WallMS   int64               `json:"wall_ms,omitempty"`
-
-	RowsURL   string   `json:"rows_url"`
-	TableURLs []string `json:"table_urls,omitempty"`
-}
-
-func (b *batchJob) status() batchStatus {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	st := batchStatus{
-		ID:       b.ID,
-		State:    b.state,
-		Error:    b.errText,
-		Specs:    b.specs,
-		RowsDone: len(b.rows),
-		WallMS:   b.wall.Milliseconds(),
-		RowsURL:  "/v1/batches/" + b.ID + "/rows",
-	}
-	if b.state == JobDone {
-		st.Stats = b.stats
-		for i := range b.specs {
-			st.TableURLs = append(st.TableURLs, fmt.Sprintf("/v1/batches/%s/tables/%d", b.ID, i))
-		}
-	}
-	return st
-}
-
-// renderRow flattens one assembled row to the wire shape.
-func renderRow(specIdx int, row wideleak.Row) batchRow {
-	out := batchRow{Spec: specIdx, App: row.App, Err: row.Err, Probes: row.Probes}
-	if row.Failed() {
-		return out
-	}
-	for _, id := range row.Probes {
-		if res := row.Result(id); res != nil {
-			out.Cells = append(out.Cells, res.Cells()...)
-		}
-	}
-	return out
-}
-
-// submitBatchResponse is the wire shape of POST /v1/batches.
-type submitBatchResponse struct {
+// BatchSubmitResponse is the wire shape of POST /v1/batches.
+type BatchSubmitResponse struct {
 	ID        string   `json:"id"`
 	State     JobState `json:"state"`
 	Specs     int      `json:"specs"`
@@ -236,21 +37,18 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		Specs       []wideleak.RunSpec `json:"specs"`
 		Concurrency int                `json:"concurrency,omitempty"`
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !httpkit.DecodeJSON(w, r, 4<<20, &req) {
 		return
 	}
 	if len(req.Specs) == 0 {
-		writeError(w, http.StatusBadRequest, "batch needs at least one spec")
+		httpkit.WriteError(w, http.StatusBadRequest, "batch needs at least one spec")
 		return
 	}
 	specs := make([]wideleak.RunSpec, len(req.Specs))
 	for i, spec := range req.Specs {
 		c, err := spec.Canonicalize()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
+			httpkit.WriteError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
 			return
 		}
 		specs[i] = c
@@ -259,245 +57,23 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		httpkit.WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	s.batchSeq++
-	batch := newBatchJob(fmt.Sprintf("b%06d", s.batchSeq), specs, req.Concurrency)
-	s.batches[batch.ID] = batch
-	s.batchIDs = append(s.batchIDs, batch.ID)
-	s.wg.Add(1)
+	job := s.newJobLocked(specs, "", req.Concurrency, true)
+	if !s.enqueueLocked(job) {
+		s.mu.Unlock()
+		writeShed(w)
+		return
+	}
 	s.mu.Unlock()
-	go s.runBatch(batch)
 
-	w.Header().Set("Location", "/v1/batches/"+batch.ID)
-	writeJSON(w, http.StatusAccepted, submitBatchResponse{
-		ID:        batch.ID,
-		State:     batch.State(),
+	w.Header().Set("Location", job.path())
+	httpkit.WriteJSON(w, http.StatusAccepted, BatchSubmitResponse{
+		ID:        job.ID,
+		State:     job.State(),
 		Specs:     len(specs),
-		StatusURL: "/v1/batches/" + batch.ID,
-		RowsURL:   "/v1/batches/" + batch.ID + "/rows",
+		StatusURL: job.path(),
+		RowsURL:   job.path() + "/rows",
 	})
-}
-
-// runBatch executes one batch on a bounded batch slot: plan the cell
-// matrix, run it through the server's cell cache and warm world tiers,
-// stream rows as they complete, then encode every spec's table.
-func (s *Server) runBatch(batch *batchJob) {
-	defer s.wg.Done()
-	s.batchSem <- struct{}{}
-	defer func() { <-s.batchSem }()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if !batch.start(cancel) {
-		return
-	}
-
-	var (
-		builtMu sync.Mutex
-		built   []builtWorld
-	)
-	res, err := wideleak.ExecuteBatch(ctx, batch.specs, wideleak.BatchOptions{
-		Concurrency: batch.concurrency,
-		Cache:       s.cells,
-		BuildStudy: func(spec wideleak.RunSpec) (*wideleak.Study, error) {
-			study, worldHit, err := s.buildStudy(spec)
-			if err != nil {
-				return nil, err
-			}
-			study.SetEventSink(func(ev probe.Event) { s.metrics.ObserveEvent(ev) })
-			network := study.World.Network
-			network.SetRetryObserver(netsim.CombineRetryObservers(network.RetryObserver(), s.metrics.RetryObserver()))
-			builtMu.Lock()
-			built = append(built, builtWorld{spec: spec, study: study, worldHit: worldHit})
-			builtMu.Unlock()
-			return study, nil
-		},
-		OnRow: func(u wideleak.RowUpdate) {
-			batch.appendRow(renderRow(u.Spec, u.Row))
-			s.metrics.addBatchRow()
-		},
-	})
-	if err != nil {
-		state := JobFailed
-		if errors.Is(err, context.Canceled) {
-			state = JobCanceled
-		}
-		batch.finish(state, err.Error())
-		s.metrics.batchFinished(state)
-		return
-	}
-
-	tables := make([]map[string][]byte, len(res.Tables))
-	for i, table := range res.Tables {
-		tables[i] = make(map[string][]byte, len(wideleak.TableFormats()))
-		for _, format := range wideleak.TableFormats() {
-			out, err := table.Encode(format)
-			if err != nil {
-				batch.finish(JobFailed, fmt.Sprintf("encode spec %d as %s: %v", i, format, err))
-				s.metrics.batchFinished(JobFailed)
-				return
-			}
-			tables[i][format] = out
-		}
-	}
-	batch.mu.Lock()
-	batch.tables = tables
-	batch.stats = res.Stats
-	batch.mu.Unlock()
-	s.metrics.addCellStats(res.Stats)
-	s.bankWorlds(built)
-	batch.finish(JobDone, "")
-	s.metrics.batchFinished(JobDone)
-}
-
-// batch looks one batch up by ID.
-func (s *Server) batch(id string) *batchJob {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.batches[id]
-}
-
-func (s *Server) handleBatchList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	statuses := make([]batchStatus, 0, len(s.batchIDs))
-	for i := len(s.batchIDs) - 1; i >= 0; i-- {
-		statuses = append(statuses, s.batches[s.batchIDs[i]].status())
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, statuses)
-}
-
-func (s *Server) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
-	batch := s.batch(r.PathValue("id"))
-	if batch == nil {
-		writeError(w, http.StatusNotFound, "no such batch")
-		return
-	}
-	writeJSON(w, http.StatusOK, batch.status())
-}
-
-func (s *Server) handleBatchCancel(w http.ResponseWriter, r *http.Request) {
-	batch := s.batch(r.PathValue("id"))
-	if batch == nil {
-		writeError(w, http.StatusNotFound, "no such batch")
-		return
-	}
-	if !batch.requestCancel() {
-		writeError(w, http.StatusConflict, fmt.Sprintf("batch is already %s", batch.State()))
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": batch.ID, "state": batch.State()})
-}
-
-func (s *Server) handleBatchTable(w http.ResponseWriter, r *http.Request) {
-	batch := s.batch(r.PathValue("id"))
-	if batch == nil {
-		writeError(w, http.StatusNotFound, "no such batch")
-		return
-	}
-	idx, err := strconv.Atoi(r.PathValue("spec"))
-	if err != nil || idx < 0 || idx >= len(batch.specs) {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("batch has specs 0..%d", len(batch.specs)-1))
-		return
-	}
-	format := r.URL.Query().Get("format")
-	if format == "" || format == "text" {
-		format = "txt"
-	}
-	batch.mu.Lock()
-	var out []byte
-	ok := false
-	if batch.state == JobDone && batch.tables != nil {
-		out, ok = batch.tables[idx][format]
-	}
-	state := batch.state
-	batch.mu.Unlock()
-	if state != JobDone {
-		writeError(w, http.StatusConflict, fmt.Sprintf("batch is %s, not done", state))
-		return
-	}
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (supported: txt, csv, json)", format))
-		return
-	}
-	switch format {
-	case "json":
-		w.Header().Set("Content-Type", "application/json")
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	}
-	w.Write(out)
-}
-
-func (s *Server) handleBatchRows(w http.ResponseWriter, r *http.Request) {
-	batch := s.batch(r.PathValue("id"))
-	if batch == nil {
-		writeError(w, http.StatusNotFound, "no such batch")
-		return
-	}
-	if r.URL.Query().Get("stream") != "" {
-		s.streamBatchRows(w, r, batch)
-		return
-	}
-	batch.mu.Lock()
-	rows := append([]batchRow(nil), batch.rows...)
-	batch.mu.Unlock()
-	writeJSON(w, http.StatusOK, rows)
-}
-
-// streamBatchRows serves completed rows as server-sent events: first
-// the backlog, then live rows as cells complete, then a final
-// `event: done` carrying the terminal state. Each row is
-// `event: row` + its JSON; Seq increases by exactly one per frame.
-func (s *Server) streamBatchRows(w http.ResponseWriter, r *http.Request, batch *batchJob) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	writeRow := func(row batchRow) bool {
-		data, err := json.Marshal(row)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: row\ndata: %s\n\n", data); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
-
-	backlog, live := batch.subscribeRows()
-	for _, row := range backlog {
-		if !writeRow(row) {
-			return
-		}
-	}
-	if live != nil {
-		for {
-			select {
-			case row, ok := <-live:
-				if !ok {
-					live = nil
-				} else if !writeRow(row) {
-					return
-				}
-			case <-r.Context().Done():
-				return
-			}
-			if live == nil {
-				break
-			}
-		}
-	}
-	fmt.Fprintf(w, "event: done\ndata: {\"state\":%q}\n\n", batch.State())
-	flusher.Flush()
 }

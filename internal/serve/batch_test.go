@@ -15,7 +15,7 @@ import (
 )
 
 // submitBatch POSTs a batch request and decodes the response.
-func submitBatch(t *testing.T, ts *httptest.Server, specs []wideleak.RunSpec, wantStatus int) submitBatchResponse {
+func submitBatch(t *testing.T, ts *httptest.Server, specs []wideleak.RunSpec, wantStatus int) BatchSubmitResponse {
 	t.Helper()
 	body, err := json.Marshal(map[string]any{"specs": specs})
 	if err != nil {
@@ -31,7 +31,7 @@ func submitBatch(t *testing.T, ts *httptest.Server, specs []wideleak.RunSpec, wa
 		raw.ReadFrom(resp.Body)
 		t.Fatalf("batch submit status = %d, want %d (body: %s)", resp.StatusCode, wantStatus, raw.String())
 	}
-	var sub submitBatchResponse
+	var sub BatchSubmitResponse
 	if wantStatus < 400 {
 		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
 			t.Fatal(err)
@@ -41,7 +41,7 @@ func submitBatch(t *testing.T, ts *httptest.Server, specs []wideleak.RunSpec, wa
 }
 
 // getBatchStatus fetches one batch's status document.
-func getBatchStatus(t *testing.T, ts *httptest.Server, id string) batchStatus {
+func getBatchStatus(t *testing.T, ts *httptest.Server, id string) BatchStatus {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/batches/" + id)
 	if err != nil {
@@ -51,7 +51,7 @@ func getBatchStatus(t *testing.T, ts *httptest.Server, id string) batchStatus {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %s = %d", id, resp.StatusCode)
 	}
-	var st batchStatus
+	var st BatchStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func getBatchStatus(t *testing.T, ts *httptest.Server, id string) batchStatus {
 }
 
 // waitBatchTerminal polls a batch until it leaves the live states.
-func waitBatchTerminal(t *testing.T, ts *httptest.Server, id string) batchStatus {
+func waitBatchTerminal(t *testing.T, ts *httptest.Server, id string) BatchStatus {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
@@ -70,7 +70,7 @@ func waitBatchTerminal(t *testing.T, ts *httptest.Server, id string) batchStatus
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("batch %s never finished", id)
-	return batchStatus{}
+	return BatchStatus{}
 }
 
 // fetchBatchTable downloads one spec's table from a finished batch.
@@ -168,7 +168,7 @@ func TestServer_BatchEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rows []batchRow
+	var rows []Row
 	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestServer_BatchEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer listResp.Body.Close()
-	var listed []batchStatus
+	var listed []BatchStatus
 	if err := json.NewDecoder(listResp.Body).Decode(&listed); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestServer_BatchRowsSSE(t *testing.T) {
 	}
 
 	var (
-		rows      []batchRow
+		rows      []Row
 		doneState string
 		event     string
 	)
@@ -246,7 +246,7 @@ func TestServer_BatchRowsSSE(t *testing.T) {
 			data := strings.TrimPrefix(line, "data: ")
 			switch event {
 			case "row":
-				var row batchRow
+				var row Row
 				if err := json.Unmarshal([]byte(data), &row); err != nil {
 					t.Fatalf("bad row frame %q: %v", data, err)
 				}

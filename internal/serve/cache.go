@@ -6,120 +6,83 @@ import (
 )
 
 // lruCache is a bounded string-keyed LRU — the shared mechanism behind
-// the server's cache tiers (encoded results, world snapshots, per-seed
-// key pools). When the cap is exceeded, the least recently used entry is
+// the server's cache tiers: tier 1 (canonical request key → encoded job
+// result), tier 2 (world key → world snapshot) and the per-seed key
+// pools. When the cap is exceeded, the least recently used entry is
 // dropped.
-type lruCache struct {
+type lruCache[V any] struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string]*list.Element
 	order   *list.List // front = most recently used
 }
 
-type cacheEntry struct {
+type cacheEntry[V any] struct {
 	key string
-	val any
+	val V
 }
 
-func newLRUCache(capacity int) *lruCache {
-	return &lruCache{
+func newLRUCache[V any](capacity int) *lruCache[V] {
+	return &lruCache[V]{
 		cap:     capacity,
 		entries: make(map[string]*list.Element),
 		order:   list.New(),
 	}
 }
 
-// get returns the cached value for a key (nil on miss) and marks it
-// most recently used.
-func (c *lruCache) get(key string) any {
+// get returns the cached value for a key (the zero value on a miss) and
+// marks it most recently used.
+func (c *lruCache[V]) get(key string) V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		return nil
+		var zero V
+		return zero
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).val
+	return el.Value.(*cacheEntry[V]).val
 }
 
 // put stores a value, evicting the least recently used entry when over
 // capacity. Storing an existing key refreshes its value and recency.
-func (c *lruCache) put(key string, val any) {
+func (c *lruCache[V]) put(key string, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
-		el.Value.(*cacheEntry).val = val
+		el.Value.(*cacheEntry[V]).val = val
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, val: val})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-	}
-}
-
-// len reports the resident entry count.
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
+	c.insertLocked(key, val)
 }
 
 // getOrPut returns the value for key, storing (and returning) the one
 // minted by mk on a miss. mk runs under the cache lock — keep it cheap.
-func (c *lruCache) getOrPut(key string, mk func() any) any {
+func (c *lruCache[V]) getOrPut(key string, mk func() V) V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
-		return el.Value.(*cacheEntry).val
+		return el.Value.(*cacheEntry[V]).val
 	}
 	val := mk()
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, val: val})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-	}
+	c.insertLocked(key, val)
 	return val
 }
 
-// resultCache is tier 1: canonical request key (wideleak.RunSpec.Key) →
-// fully encoded study result. Identical canonical requests are served
-// from here without re-running any device work.
-type resultCache struct{ lru *lruCache }
-
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{lru: newLRUCache(capacity)}
+func (c *lruCache[V]) insertLocked(key string, val V) {
+	c.entries[key] = c.order.PushFront(&cacheEntry[V]{key: key, val: val})
+	for c.order.Len() > c.cap {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*cacheEntry[V]).key)
+	}
 }
 
-func (c *resultCache) get(key string) *studyResult {
-	res, _ := c.lru.get(key).(*studyResult)
-	return res
+// len reports the resident entry count.
+func (c *lruCache[V]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }
-
-func (c *resultCache) put(key string, res *studyResult) { c.lru.put(key, res) }
-
-func (c *resultCache) len() int { return c.lru.len() }
-
-// worldCache is tier 2: world identity (wideleak.RunSpec.WorldKey —
-// seed + fault schedule) → serialized world snapshot. A request that
-// misses tier 1 but shares a warmed world (same seed and faults,
-// different probe subset or profile list) restores ~seconds of RSA
-// provisioning state in milliseconds instead of rebuilding it.
-type worldCache struct{ lru *lruCache }
-
-func newWorldCache(capacity int) *worldCache {
-	return &worldCache{lru: newLRUCache(capacity)}
-}
-
-func (c *worldCache) get(key string) []byte {
-	snap, _ := c.lru.get(key).([]byte)
-	return snap
-}
-
-func (c *worldCache) put(key string, snapshot []byte) { c.lru.put(key, snapshot) }
-
-func (c *worldCache) len() int { return c.lru.len() }

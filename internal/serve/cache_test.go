@@ -51,6 +51,19 @@ func TestServer_CacheIdenticalRequests(t *testing.T) {
 		t.Errorf("cached job events = %d, want the original run's %d", warmStatus.Events, coldStatus.Events)
 	}
 
+	// The cached job's event stream replays the producing run: every
+	// event its status counts, then the done frame.
+	sresp, err := http.Get(ts.URL + "/v1/studies/" + warm.ID + "/events?stream=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	stream.ReadFrom(sresp.Body)
+	sresp.Body.Close()
+	if got := strings.Count(stream.String(), "data: "); got != warmStatus.Events+1 {
+		t.Errorf("cached job stream carried %d data frames, want %d events + done", got, warmStatus.Events)
+	}
+
 	for _, format := range wideleak.TableFormats() {
 		coldTable := fetchTable(t, ts, cold.ID, format)
 		warmTable := fetchTable(t, ts, warm.ID, format)
@@ -111,8 +124,8 @@ func TestServer_FaultSeedMissesCache(t *testing.T) {
 
 // TestResultCache_LRU pins the eviction policy without any HTTP.
 func TestResultCache_LRU(t *testing.T) {
-	c := newResultCache(2)
-	r1, r2, r3 := &studyResult{rows: 1}, &studyResult{rows: 2}, &studyResult{rows: 3}
+	c := newLRUCache[*jobResult](2)
+	r1, r2, r3 := &jobResult{rows: 1}, &jobResult{rows: 2}, &jobResult{rows: 3}
 
 	c.put("k1", r1)
 	c.put("k2", r2)
@@ -135,7 +148,7 @@ func TestResultCache_LRU(t *testing.T) {
 	if c.len() != 2 {
 		t.Errorf("re-put grew the cache to %d", c.len())
 	}
-	c.put("k4", &studyResult{rows: 4})
+	c.put("k4", &jobResult{rows: 4})
 	if c.get("k3") != nil {
 		t.Error("k3 should have been the LRU victim after k1 was refreshed")
 	}

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"sync"
 	"time"
 
@@ -27,19 +29,24 @@ func (s JobState) terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCanceled
 }
 
-// studyResult is one completed study, fully encoded: the table in every
-// supported format, the marshaled event log, and the run's accounting.
-// Results are immutable once built, so the cache shares them freely.
-type studyResult struct {
-	tables     map[string][]byte // format → bytes (txt, csv, json)
-	events     []byte            // probe.Log marshaled as JSON
-	eventCount int
+// frame is one entry of a job's append-only log, pre-encoded for the
+// wire: a probe event of a study, or a completed row of a batch.
+type frame struct {
+	event string // SSE event name
+	data  []byte // one JSON value
+}
 
-	rows            int
-	observations    int // instrumented observation runs the job executed
-	legacyPlaybacks int
-	wall            time.Duration
-	virtual         time.Duration
+// jobResult is one completed job, fully encoded: every spec's table in
+// every supported format, the frame log, and the run's accounting.
+// Results are immutable once built, so the cache shares them freely.
+type jobResult struct {
+	tables []map[string][]byte // per spec: format → bytes (txt, csv, json)
+	frames []frame             // the producing run's log; cache hits replay it
+
+	rows    int // table rows across every spec
+	stats   wideleak.BatchStats
+	wall    time.Duration
+	virtual time.Duration
 
 	// worldHit records whether the run restored a tier-2 world snapshot
 	// (true) or built its world cold (false) — the provenance the fleet
@@ -52,40 +59,48 @@ type studyResult struct {
 	cellsRecombined bool
 }
 
-// Job is one study submission: the canonical request, its lifecycle
-// state, the structured event log, and — once terminal — the result.
+// Job is one submission of N ≥ 1 canonical specs, executed as one cell
+// matrix. A study (/v1/studies) is a job of one spec whose frames are
+// its probe events; a batch (/v1/batches) is a job of N specs whose
+// frames are its completed rows.
 type Job struct {
-	ID   string
-	Key  string
-	Spec wideleak.RunSpec // canonical form
+	ID    string
+	Key   string             // tier-1 content address; "" for batches, which are not result-cached
+	Specs []wideleak.RunSpec // canonical forms
+	batch bool
 
-	log *probe.Log
+	concurrency int
+	metrics     *Metrics // counts the terminal state in finish
 
 	mu        sync.Mutex
 	state     JobState
 	cached    bool
 	errText   string
-	result    *studyResult
+	result    *jobResult
 	cancel    context.CancelFunc
 	cancelled bool
-	subs      []chan probe.Event
-	done      chan struct{}
+	frames    []frame
+	wake      chan struct{} // closed at the next append or finish; nil until a reader waits
 
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
 }
 
-func newJob(id, key string, spec wideleak.RunSpec) *Job {
-	return &Job{
-		ID:        id,
-		Key:       key,
-		Spec:      spec,
-		log:       &probe.Log{},
-		state:     JobQueued,
-		done:      make(chan struct{}),
-		submitted: time.Now(),
+// noun names a wire family in error messages.
+func noun(batch bool) string {
+	if batch {
+		return "batch"
 	}
+	return "study"
+}
+
+// path is the job's status URL.
+func (j *Job) path() string {
+	if j.batch {
+		return "/v1/batches/" + j.ID
+	}
+	return "/v1/studies/" + j.ID
 }
 
 // State returns the current lifecycle phase.
@@ -94,9 +109,6 @@ func (j *Job) State() JobState {
 	defer j.mu.Unlock()
 	return j.state
 }
-
-// Done exposes the completion channel (closed on any terminal state).
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // start transitions queued → running and installs the cancel hook. It
 // reports false when the job was already cancelled (or otherwise
@@ -116,13 +128,17 @@ func (j *Job) start(cancel context.CancelFunc) bool {
 	return true
 }
 
-// finish moves the job to a terminal state, publishes the result, closes
-// every event subscription and the done channel. Finishing a job twice
-// is a no-op (a queued job cancelled by the client stays cancelled even
-// when a worker later drains it off the queue).
-func (j *Job) finish(state JobState, res *studyResult, errText string) {
+// finish moves the job to a terminal state, publishes the result, wakes
+// every stream reader, and counts the state in the metrics. Finishing a
+// job twice is a no-op (a queued job cancelled by the client stays
+// cancelled when a worker later drains it).
+func (j *Job) finish(state JobState, res *jobResult, errText string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.finishLocked(state, res, errText)
+}
+
+func (j *Job) finishLocked(state JobState, res *jobResult, errText string) {
 	if j.state.terminal() {
 		return
 	}
@@ -131,11 +147,12 @@ func (j *Job) finish(state JobState, res *studyResult, errText string) {
 	j.errText = errText
 	j.finished = time.Now()
 	j.cancel = nil
-	for _, ch := range j.subs {
-		close(ch)
+	j.wakeLocked()
+	if j.batch {
+		j.metrics.batchFinished(state)
+	} else {
+		j.metrics.jobFinished(state)
 	}
-	j.subs = nil
-	close(j.done)
 }
 
 // requestCancel asks the job to stop: a running job has its context
@@ -143,64 +160,112 @@ func (j *Job) finish(state JobState, res *studyResult, errText string) {
 // false when the job is already terminal.
 func (j *Job) requestCancel() bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.terminal() {
-		j.mu.Unlock()
 		return false
 	}
 	j.cancelled = true
 	if j.cancel != nil {
-		j.mu.Unlock()
 		j.cancel()
 		return true
 	}
 	// Still queued: terminal-ize in place; the worker will skip it.
-	j.state = JobCanceled
-	j.errText = "canceled before start"
-	j.finished = time.Now()
-	for _, ch := range j.subs {
-		close(ch)
-	}
-	j.subs = nil
-	close(j.done)
-	j.mu.Unlock()
+	j.finishLocked(JobCanceled, nil, "canceled before start")
 	return true
 }
 
-// record appends one pipeline event to the job's log and fans the
-// stamped copy out to live subscribers. Slow subscribers never block the
-// study: a full channel drops the event for that subscriber only (the
-// events endpoint re-reads the full log, so nothing is lost at rest).
-func (j *Job) record(ev probe.Event) probe.Event {
-	j.mu.Lock()
-	stamped := j.log.Append(ev)
-	for _, ch := range j.subs {
-		select {
-		case ch <- stamped:
-		default:
-		}
+// wakeLocked signals every reader waiting for the log to move.
+func (j *Job) wakeLocked() {
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
 	}
-	j.mu.Unlock()
-	return stamped
 }
 
-// subscribe returns a snapshot of everything recorded so far plus a
-// channel carrying every later event, closed when the job finishes. A
-// nil channel means the job was already terminal — the snapshot is the
-// whole stream.
-func (j *Job) subscribe() ([]probe.Event, <-chan probe.Event) {
+// appendLocked encodes v as the log's next frame and wakes waiting
+// readers.
+func (j *Job) appendLocked(event string, v any) {
+	if data, err := json.Marshal(v); err == nil {
+		j.frames = append(j.frames, frame{event: event, data: data})
+		j.wakeLocked()
+	}
+}
+
+// recordEvent stamps one pipeline event with its log position and
+// instant, appends it as a frame, and returns the stamped copy.
+func (j *Job) recordEvent(ev probe.Event) probe.Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	snapshot := j.log.Events()
-	if j.state.terminal() {
-		return snapshot, nil
+	ev.Seq = int64(len(j.frames) + 1)
+	if ev.At.IsZero() {
+		ev.At = time.Now()
 	}
-	ch := make(chan probe.Event, 256)
-	j.subs = append(j.subs, ch)
-	return snapshot, ch
+	j.appendLocked(ev.Kind.String(), ev)
+	return ev
 }
 
-// jobStatus is the wire shape of GET /v1/studies/{id}.
-type jobStatus struct {
+// appendRow stamps the batch sequence number onto one completed row and
+// appends it. The matrix executor calls OnRow serially, so Seq order is
+// also log order.
+func (j *Job) appendRow(row Row) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	row.Seq = int64(len(j.frames) + 1)
+	j.appendLocked("row", row)
+}
+
+// snapshotFrames returns everything logged so far.
+func (j *Job) snapshotFrames() []frame {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.frames
+}
+
+// framesFrom returns the frames logged after position from and the
+// job's state. When there is nothing new and the job is live, it also
+// returns a channel closed at the next append or finish. Frames are
+// never rewritten, so the returned slice stays valid without the lock.
+func (j *Job) framesFrom(from int) ([]frame, JobState, <-chan struct{}) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	fs := j.frames[from:]
+	if len(fs) > 0 || j.state.terminal() {
+		return fs, j.state, nil
+	}
+	if j.wake == nil {
+		j.wake = make(chan struct{})
+	}
+	return nil, j.state, j.wake
+}
+
+// Row is the wire shape of one completed batch row: which spec and app
+// it belongs to, a gap-free per-batch sequence stamp, and the rendered
+// cells (or the transport annotation).
+type Row struct {
+	Seq    int64    `json:"seq"`
+	Spec   int      `json:"spec"`
+	App    string   `json:"app"`
+	Err    string   `json:"error,omitempty"`
+	Probes []string `json:"probes,omitempty"`
+	Cells  []string `json:"cells,omitempty"`
+}
+
+// renderRow flattens one assembled row to the wire shape.
+func renderRow(specIdx int, row wideleak.Row) Row {
+	out := Row{Spec: specIdx, App: row.App, Err: row.Err, Probes: row.Probes}
+	if row.Failed() {
+		return out
+	}
+	for _, id := range row.Probes {
+		if res := row.Result(id); res != nil {
+			out.Cells = append(out.Cells, res.Cells()...)
+		}
+	}
+	return out
+}
+
+// StudyStatus is the wire shape of GET /v1/studies/{id}.
+type StudyStatus struct {
 	ID      string           `json:"id"`
 	State   JobState         `json:"state"`
 	Cached  bool             `json:"cached"`
@@ -227,42 +292,89 @@ type jobStatus struct {
 	EventsURL string `json:"events_url,omitempty"`
 }
 
-// status snapshots the job for the API. A cached job reports zero
+// studyStatus snapshots a study for the API. A cached job reports zero
 // observations and playbacks: it did no device work of its own.
-func (j *Job) status() jobStatus {
+func (j *Job) studyStatus() StudyStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := jobStatus{
+	st := StudyStatus{
 		ID:      j.ID,
 		State:   j.state,
 		Cached:  j.cached,
-		Request: j.Spec,
+		Request: j.Specs[0],
 		Error:   j.errText,
-		Events:  j.log.Len(),
+		Events:  len(j.frames),
 	}
-	if j.result != nil {
-		st.Rows = j.result.rows
-		st.Events = j.result.eventCount
-		st.WallMS = j.result.wall.Milliseconds()
-		st.VirtualMS = j.result.virtual.Milliseconds()
-		st.WorldCache = worldCacheLabel(j.result.worldHit)
-		if j.result.cellsRecombined {
+	if r := j.result; r != nil {
+		st.Rows = r.rows
+		st.WallMS = r.wall.Milliseconds()
+		st.VirtualMS = r.virtual.Milliseconds()
+		st.WorldCache = worldCacheLabel(r.worldHit)
+		if r.cellsRecombined {
 			st.CellCache = "hit"
 		}
 		if !j.cached {
-			st.Observations = j.result.observations
-			st.LegacyPlaybacks = j.result.legacyPlaybacks
+			st.Observations = r.stats.Observations
+			st.LegacyPlaybacks = r.stats.LegacyPlaybacks
 		}
 	}
 	if j.state == JobDone {
-		st.TableURL = "/v1/studies/" + j.ID + "/table"
-		st.EventsURL = "/v1/studies/" + j.ID + "/events"
+		st.TableURL = j.path() + "/table"
+		st.EventsURL = j.path() + "/events"
 	}
 	return st
 }
 
+// BatchStatus is the wire shape of GET /v1/batches/{id}.
+type BatchStatus struct {
+	ID       string              `json:"id"`
+	State    JobState            `json:"state"`
+	Error    string              `json:"error,omitempty"`
+	Specs    []wideleak.RunSpec  `json:"specs"`
+	RowsDone int                 `json:"rows_done"`
+	Stats    wideleak.BatchStats `json:"stats,omitempty"`
+	// WallMS runs from submission to the terminal state, queueing
+	// included.
+	WallMS int64 `json:"wall_ms,omitempty"`
+
+	RowsURL   string   `json:"rows_url"`
+	TableURLs []string `json:"table_urls,omitempty"`
+}
+
+// batchStatus snapshots a batch for the API.
+func (j *Job) batchStatus() BatchStatus {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	st := BatchStatus{
+		ID:       j.ID,
+		State:    j.state,
+		Error:    j.errText,
+		Specs:    j.Specs,
+		RowsDone: len(j.frames),
+		RowsURL:  j.path() + "/rows",
+	}
+	if j.state.terminal() {
+		st.WallMS = j.finished.Sub(j.submitted).Milliseconds()
+	}
+	if j.state == JobDone {
+		st.Stats = j.result.stats
+		for i := range j.Specs {
+			st.TableURLs = append(st.TableURLs, fmt.Sprintf("%s/tables/%d", j.path(), i))
+		}
+	}
+	return st
+}
+
+// status renders the job's wire status document.
+func (j *Job) status() any {
+	if j.batch {
+		return j.batchStatus()
+	}
+	return j.studyStatus()
+}
+
 // snapshotResult returns the published result, nil until Done.
-func (j *Job) snapshotResult() *studyResult {
+func (j *Job) snapshotResult() *jobResult {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != JobDone {

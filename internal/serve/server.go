@@ -15,6 +15,10 @@
 //	GET    /metrics                  Prometheus text exposition
 //	GET    /healthz                  liveness (503 while draining)
 //
+// plus the batch endpoints documented in batch.go. A study is a job of
+// one spec and a batch a job of N; both share one queue, one worker
+// pool, one runner and one frame log.
+//
 // Identical canonical requests (same seed, probes, profiles and fault
 // schedule — wideleak.RunSpec.Key) are served from the cache with zero
 // new device work; a full queue sheds load with 429 + Retry-After; and
@@ -23,15 +27,16 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpkit"
 	"repro/internal/netsim"
 	"repro/internal/provision"
 	"repro/internal/wideleak"
@@ -53,28 +58,27 @@ const (
 	HeaderWorldCache = "X-Wideleak-World-Cache"
 )
 
+// worldCacheSize bounds the tier-2 world-snapshot cache and the per-seed
+// key-pool index. A snapshot is ~50 KB; a pool holds the seed's live RSA
+// keys.
+const worldCacheSize = 16
+
 // Config sizes the server. Zero values select the defaults.
 type Config struct {
-	// Workers is the study worker pool size (default GOMAXPROCS).
+	// Workers is the worker pool size (default GOMAXPROCS). Studies and
+	// batches share it.
 	Workers int
-	// QueueSize bounds the backlog of accepted-but-not-running jobs
-	// (default 16). Submissions beyond it are shed with HTTP 429.
+	// QueueSize bounds the backlog of accepted-but-not-running jobs,
+	// studies and batches alike (default 16). Submissions beyond it are
+	// shed with HTTP 429.
 	QueueSize int
 	// CacheSize bounds the LRU result cache (default 64 entries).
 	CacheSize int
-	// WorldCacheSize bounds the tier-2 world-snapshot cache and the
-	// per-seed key-pool index (default 16 entries each). A snapshot is
-	// ~50 KB; a pool holds the seed's live RSA keys.
-	WorldCacheSize int
 	// CellCacheSize bounds the probe-cell LRU (default 4096 outcomes)
 	// that makes the result tier cell-aware: a request whose cells are
 	// all resident is reassembled with zero device work even when its
 	// exact RunSpec was never served before.
 	CellCacheSize int
-	// BatchWorkers bounds how many batches run concurrently (default
-	// Workers). Each batch drives its own chain pool, so this is a slot
-	// count, not a thread count.
-	BatchWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -87,14 +91,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 64
 	}
-	if c.WorldCacheSize <= 0 {
-		c.WorldCacheSize = 16
-	}
 	if c.CellCacheSize <= 0 {
 		c.CellCacheSize = 4096
-	}
-	if c.BatchWorkers <= 0 {
-		c.BatchWorkers = c.Workers
 	}
 	return c
 }
@@ -104,15 +102,21 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	metrics *Metrics
-	cache   *resultCache
 
-	// worlds is tier 2 below the result cache: world identity (seed +
-	// fault schedule) → serialized snapshot of the warmed world's RSA
-	// provisioning state. pools indexes the per-seed Device RSA key
-	// pools shared by every job of a seed, so even a tier-2 miss on a
-	// known seed re-mints nothing.
-	worlds *worldCache
-	pools  *lruCache // seed → *provision.KeyPool
+	// cache is tier 1: canonical request key (wideleak.RunSpec.Key) →
+	// fully encoded job result. Identical canonical requests are served
+	// from here without re-running any device work.
+	cache *lruCache[*jobResult]
+
+	// worlds is tier 2 below the result cache: world identity
+	// (wideleak.RunSpec.WorldKey — seed + fault schedule) → serialized
+	// snapshot of the warmed world's RSA provisioning state, so a request
+	// that misses tier 1 but shares a warmed world restores it in
+	// milliseconds. pools indexes the per-seed Device RSA key pools shared
+	// by every job of a seed, so even a tier-2 miss on a known seed
+	// re-mints nothing.
+	worlds *lruCache[[]byte]
+	pools  *lruCache[*provision.KeyPool]
 
 	// cells is the sub-result memoization tier between the result cache
 	// and the world cache: completed (world, profile, probe) outcomes by
@@ -122,22 +126,19 @@ type Server struct {
 	cells *wideleak.CellCache
 
 	mu       sync.Mutex
-	jobs     map[string]*Job
-	ids      []string        // submission order (for listing)
-	active   map[string]*Job // canonical key → live job (coalescing)
+	jobs     map[string]*Job // studies and batches by ID
+	order    []*Job          // submission order (for listing)
+	active   map[string]*Job // canonical key → live study (coalescing)
 	queue    chan *Job
-	batches  map[string]*batchJob
-	batchIDs []string
-	batchSem chan struct{} // bounds concurrently running batches
 	draining bool
-	seq      int64
-	batchSeq int64
+	seq      int64 // study IDs
+	batchSeq int64 // batch IDs
 
 	inFlight atomic.Int64
 	wg       sync.WaitGroup
 
 	// testHookJobStart, when set, runs at the top of every worker job —
-	// tests use it to hold jobs in the running state deterministically.
+	// tests use it to hold jobs in the queued state deterministically.
 	testHookJobStart func(*Job)
 }
 
@@ -145,16 +146,14 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		cache:    newResultCache(cfg.CacheSize),
-		worlds:   newWorldCache(cfg.WorldCacheSize),
-		pools:    newLRUCache(cfg.WorldCacheSize),
-		cells:    wideleak.NewCellCache(cfg.CellCacheSize),
-		jobs:     make(map[string]*Job),
-		active:   make(map[string]*Job),
-		queue:    make(chan *Job, cfg.QueueSize),
-		batches:  make(map[string]*batchJob),
-		batchSem: make(chan struct{}, cfg.BatchWorkers),
+		cfg:    cfg,
+		cache:  newLRUCache[*jobResult](cfg.CacheSize),
+		worlds: newLRUCache[[]byte](worldCacheSize),
+		pools:  newLRUCache[*provision.KeyPool](worldCacheSize),
+		cells:  wideleak.NewCellCache(cfg.CellCacheSize),
+		jobs:   make(map[string]*Job),
+		active: make(map[string]*Job),
+		queue:  make(chan *Job, cfg.QueueSize),
 	}
 	s.metrics = newMetrics(
 		func() int { return len(s.queue) },
@@ -244,9 +243,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		for _, j := range s.jobs {
 			j.requestCancel()
 		}
-		for _, b := range s.batches {
-			b.requestCancel()
-		}
 		s.mu.Unlock()
 		<-done
 		return ctx.Err()
@@ -281,15 +277,14 @@ func (s *Server) runJob(job *Job) {
 	s.clearActive(job)
 	switch {
 	case err == nil:
-		s.cache.put(job.Key, res)
+		if job.Key != "" {
+			s.cache.put(job.Key, res)
+		}
 		job.finish(JobDone, res, "")
-		s.metrics.jobFinished(JobDone)
 	case errors.Is(err, context.Canceled):
 		job.finish(JobCanceled, nil, err.Error())
-		s.metrics.jobFinished(JobCanceled)
 	default:
 		job.finish(JobFailed, nil, err.Error())
-		s.metrics.jobFinished(JobFailed)
 	}
 }
 
@@ -298,7 +293,7 @@ func (s *Server) runJob(job *Job) {
 // seed shares one pool, so 2048-bit keys are generated at most once per
 // (seed, device) for the server's lifetime — modulo LRU eviction.
 func (s *Server) keyPool(seed string) *provision.KeyPool {
-	return s.pools.getOrPut(seed, func() any { return wideleak.NewKeyPool(seed) }).(*provision.KeyPool)
+	return s.pools.getOrPut(seed, func() *provision.KeyPool { return wideleak.NewKeyPool(seed) })
 }
 
 // buildStudy materializes a spec's study through the warm tiers: a
@@ -333,56 +328,42 @@ func (s *Server) buildStudy(spec wideleak.RunSpec) (*wideleak.Study, bool, error
 	return study, worldHit, nil
 }
 
-// builtWorld remembers one study a batch materialized, so the server
-// can account its key mints and bank its snapshot after the run.
+// builtWorld remembers one study a run materialized, so the server can
+// account its key mints and bank its snapshot afterwards.
 type builtWorld struct {
 	spec     wideleak.RunSpec // seed + faults + union profiles
 	study    *wideleak.Study
 	worldHit bool
 }
 
-// bankWorlds accounts each built study's key generations and banks its
-// warmed snapshot: the next run sharing that world identity restores in
-// milliseconds instead of re-provisioning. (Re-banking after a tier-2
-// hit just refreshes recency — determinism makes the bytes agree.)
-func (s *Server) bankWorlds(built []builtWorld) {
-	for _, bw := range built {
-		s.metrics.addRSAMinted(bw.study.World.Registry.MintCount())
-		if worldKey, err := bw.spec.WorldKey(); err == nil {
-			if snap, err := bw.study.World.Snapshot(); err == nil {
-				s.worlds.put(worldKey, snap)
-			}
-		}
-	}
-}
-
-// execute runs the study described by the job's spec under the job's
-// context, wiring the probe event stream into the job log, SSE
-// subscribers and the metrics, and the network retry stream into the
-// per-host retry counters.
+// execute runs every spec of the job as one matrix under the job's
+// context, through the server's cell cache and warm world tiers. A
+// study's probe events become its frames; a batch's completed rows
+// become its frames (its probe events only feed the metrics). Network
+// retries reach the per-host retry counters either way.
 //
-// The run goes through the matrix scheduler with the server's cell
-// cache, which makes the result tier cell-aware: when every cell the
-// spec needs is already memoized (a probe subset of an earlier run),
-// the table is reassembled with zero device work — no world built, no
-// observation executed.
-func (s *Server) execute(ctx context.Context, job *Job) (*studyResult, error) {
+// Because single studies go through the same matrix scheduler, the
+// result tier is cell-aware: when every cell a spec needs is already
+// memoized (a probe subset of an earlier run), the table is reassembled
+// with zero device work — no world built, no observation executed.
+func (s *Server) execute(ctx context.Context, job *Job) (*jobResult, error) {
 	var (
 		builtMu sync.Mutex
 		built   []builtWorld
 	)
-	wallStart := time.Now()
-	batch, err := wideleak.ExecuteBatch(ctx, []wideleak.RunSpec{job.Spec}, wideleak.BatchOptions{
-		Concurrency: job.Spec.Concurrency,
+	sink := s.metrics.ObserveEvent
+	if !job.batch {
+		sink = func(ev probe.Event) { s.metrics.ObserveEvent(job.recordEvent(ev)) }
+	}
+	opts := wideleak.BatchOptions{
+		Concurrency: job.concurrency,
 		Cache:       s.cells,
 		BuildStudy: func(spec wideleak.RunSpec) (*wideleak.Study, error) {
 			study, worldHit, err := s.buildStudy(spec)
 			if err != nil {
 				return nil, err
 			}
-			study.SetEventSink(func(ev probe.Event) {
-				s.metrics.ObserveEvent(job.record(ev))
-			})
+			study.SetEventSink(sink)
 			// SetEventSink installed the sink's own retry forwarder on the
 			// network; compose the per-host metrics adapter alongside it.
 			network := study.World.Network
@@ -392,44 +373,55 @@ func (s *Server) execute(ctx context.Context, job *Job) (*studyResult, error) {
 			builtMu.Unlock()
 			return study, nil
 		},
-	})
+	}
+	if job.batch {
+		opts.OnRow = func(u wideleak.RowUpdate) {
+			job.appendRow(renderRow(u.Spec, u.Row))
+			s.metrics.addBatchRow()
+		}
+	}
+	wallStart := time.Now()
+	batch, err := wideleak.ExecuteBatch(ctx, job.Specs, opts)
 	if err != nil {
 		return nil, err
 	}
-	table := batch.Tables[0]
 
-	var virtual time.Duration
-	worldHit := false
-	for _, bw := range built {
-		virtual += bw.study.World.Clock().Now()
-		worldHit = worldHit || bw.worldHit
-	}
-	res := &studyResult{
-		tables:          make(map[string][]byte, len(wideleak.TableFormats())),
-		rows:            len(table.Rows),
-		observations:    batch.Stats.Observations,
-		legacyPlaybacks: batch.Stats.LegacyPlaybacks,
+	res := &jobResult{
+		tables:          make([]map[string][]byte, len(batch.Tables)),
+		frames:          job.snapshotFrames(),
+		stats:           batch.Stats,
 		wall:            time.Since(wallStart),
-		virtual:         virtual,
-		worldHit:        worldHit,
 		cellsRecombined: batch.Stats.CellsExecuted == 0 && batch.Stats.WorldsBuilt == 0,
+	}
+	for i, table := range batch.Tables {
+		res.rows += len(table.Rows)
+		res.tables[i] = make(map[string][]byte, len(wideleak.TableFormats()))
+		for _, format := range wideleak.TableFormats() {
+			out, err := table.Encode(format)
+			if err != nil {
+				return nil, fmt.Errorf("serve: encode spec %d as %s: %w", i, format, err)
+			}
+			res.tables[i][format] = out
+		}
+	}
+	for _, bw := range built {
+		res.virtual += bw.study.World.Clock().Now()
+		res.worldHit = res.worldHit || bw.worldHit
+		// Account the world's key generations and bank its warmed
+		// snapshot: the next run sharing that world identity restores in
+		// milliseconds. (Re-banking after a tier-2 hit just refreshes
+		// recency — determinism makes the bytes agree.)
+		s.metrics.addRSAMinted(bw.study.World.Registry.MintCount())
+		if worldKey, err := bw.spec.WorldKey(); err == nil {
+			if snap, err := bw.study.World.Snapshot(); err == nil {
+				s.worlds.put(worldKey, snap)
+			}
+		}
 	}
 	s.metrics.addCellStats(batch.Stats)
 	if res.cellsRecombined {
 		s.metrics.addCellRecombined()
 	}
-	for _, format := range wideleak.TableFormats() {
-		out, err := table.Encode(format)
-		if err != nil {
-			return nil, fmt.Errorf("serve: encode %s: %w", format, err)
-		}
-		res.tables[format] = out
-	}
-	if res.events, err = job.log.MarshalJSON(); err != nil {
-		return nil, fmt.Errorf("serve: encode events: %w", err)
-	}
-	res.eventCount = job.log.Len()
-	s.bankWorlds(built)
 	return res, nil
 }
 
@@ -442,20 +434,63 @@ func (s *Server) clearActive(job *Job) {
 	s.mu.Unlock()
 }
 
-// job looks one job up by ID.
-func (s *Server) job(id string) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
+// newJobLocked mints a queued job; the caller holds s.mu.
+func (s *Server) newJobLocked(specs []wideleak.RunSpec, key string, concurrency int, batch bool) *Job {
+	job := &Job{
+		Key:         key,
+		Specs:       specs,
+		batch:       batch,
+		concurrency: concurrency,
+		metrics:     s.metrics,
+		state:       JobQueued,
+		submitted:   time.Now(),
+	}
+	if batch {
+		s.batchSeq++
+		job.ID = fmt.Sprintf("b%06d", s.batchSeq)
+	} else {
+		s.seq++
+		job.ID = fmt.Sprintf("s%06d-%.8s", s.seq, key)
+	}
+	return job
 }
 
-// newJobLocked mints and registers a job; the caller holds s.mu.
-func (s *Server) newJobLocked(spec wideleak.RunSpec, key string) *Job {
-	s.seq++
-	id := fmt.Sprintf("s%06d-%.8s", s.seq, key)
-	job := newJob(id, key, spec)
-	s.jobs[id] = job
-	s.ids = append(s.ids, id)
+// registerLocked adds a job to the table; the caller holds s.mu.
+func (s *Server) registerLocked(job *Job) {
+	s.jobs[job.ID] = job
+	s.order = append(s.order, job)
+}
+
+// enqueueLocked hands a job to the worker pool and registers it. A full
+// queue sheds the job instead: it is never registered, and the caller
+// answers with writeShed. The caller holds s.mu (so the queue is open).
+func (s *Server) enqueueLocked(job *Job) bool {
+	select {
+	case s.queue <- job:
+		s.registerLocked(job)
+		return true
+	default:
+		s.metrics.addShed()
+		return false
+	}
+}
+
+// writeShed answers a submission the full queue refused.
+func writeShed(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", "1")
+	httpkit.WriteError(w, http.StatusTooManyRequests, "job queue is full")
+}
+
+// lookup resolves the {id} path value to a study (batch false) or a
+// batch (batch true), answering 404 when there is none.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request, batch bool) *Job {
+	s.mu.Lock()
+	job := s.jobs[r.PathValue("id")]
+	s.mu.Unlock()
+	if job == nil || job.batch != batch {
+		httpkit.WriteError(w, http.StatusNotFound, "no such "+noun(batch))
+		return nil
+	}
 	return job
 }
 
@@ -463,24 +498,24 @@ func (s *Server) newJobLocked(spec wideleak.RunSpec, key string) *Job {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/studies", s.handleSubmit)
-	mux.HandleFunc("GET /v1/studies", s.handleList)
-	mux.HandleFunc("GET /v1/studies/{id}", s.handleStatus)
-	mux.HandleFunc("DELETE /v1/studies/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/studies/{id}/table", s.handleTable)
-	mux.HandleFunc("GET /v1/studies/{id}/events", s.handleEvents)
+	mux.HandleFunc("GET /v1/studies", s.handleList(false))
+	mux.HandleFunc("GET /v1/studies/{id}", s.handleStatus(false))
+	mux.HandleFunc("DELETE /v1/studies/{id}", s.handleCancel(false))
+	mux.HandleFunc("GET /v1/studies/{id}/table", s.handleTable(false))
+	mux.HandleFunc("GET /v1/studies/{id}/events", s.handleFrames(false))
 	mux.HandleFunc("POST /v1/batches", s.handleBatchSubmit)
-	mux.HandleFunc("GET /v1/batches", s.handleBatchList)
-	mux.HandleFunc("GET /v1/batches/{id}", s.handleBatchStatus)
-	mux.HandleFunc("DELETE /v1/batches/{id}", s.handleBatchCancel)
-	mux.HandleFunc("GET /v1/batches/{id}/rows", s.handleBatchRows)
-	mux.HandleFunc("GET /v1/batches/{id}/tables/{spec}", s.handleBatchTable)
+	mux.HandleFunc("GET /v1/batches", s.handleList(true))
+	mux.HandleFunc("GET /v1/batches/{id}", s.handleStatus(true))
+	mux.HandleFunc("DELETE /v1/batches/{id}", s.handleCancel(true))
+	mux.HandleFunc("GET /v1/batches/{id}/rows", s.handleFrames(true))
+	mux.HandleFunc("GET /v1/batches/{id}/tables/{spec}", s.handleTable(true))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	return mux
 }
 
-// submitResponse is the wire shape of POST /v1/studies.
-type submitResponse struct {
+// SubmitResponse is the wire shape of POST /v1/studies.
+type SubmitResponse struct {
 	ID        string   `json:"id"`
 	State     JobState `json:"state"`
 	Cached    bool     `json:"cached"`
@@ -490,46 +525,44 @@ type submitResponse struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec wideleak.RunSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !httpkit.DecodeJSON(w, r, 1<<20, &spec) {
 		return
 	}
 	canonical, err := spec.Canonicalize()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key, err := canonical.Key()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		httpkit.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		httpkit.WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 
 	// Content-addressed cache: an identical canonical request is served
-	// without any device work — the job is born done. The provenance
-	// headers let a fleet harness attribute the hit to its cache tier.
+	// without any device work — the job is born done, carrying the
+	// producing run's frames. The provenance headers let a fleet harness
+	// attribute the hit to its cache tier.
 	if res := s.cache.get(key); res != nil {
-		job := s.newJobLocked(canonical, key)
+		job := s.newJobLocked([]wideleak.RunSpec{canonical}, key, 0, false)
 		job.cached = true
 		job.state = JobDone
 		job.result = res
-		close(job.done)
+		job.frames = res.frames
+		s.registerLocked(job)
 		s.metrics.addCacheHit()
 		s.mu.Unlock()
 		w.Header().Set(HeaderCacheTier, "hit")
 		w.Header().Set(HeaderWorldCache, worldCacheLabel(res.worldHit))
-		writeJSON(w, http.StatusOK, submitResponse{
-			ID: job.ID, State: JobDone, Cached: true,
-			StatusURL: "/v1/studies/" + job.ID,
+		httpkit.WriteJSON(w, http.StatusOK, SubmitResponse{
+			ID: job.ID, State: JobDone, Cached: true, StatusURL: job.path(),
 		})
 		return
 	}
@@ -541,187 +574,174 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.metrics.addCoalesced()
 		s.mu.Unlock()
 		w.Header().Set(HeaderCacheTier, "coalesced")
-		writeJSON(w, http.StatusAccepted, submitResponse{
-			ID: live.ID, State: state, Coalesced: true,
-			StatusURL: "/v1/studies/" + live.ID,
+		httpkit.WriteJSON(w, http.StatusAccepted, SubmitResponse{
+			ID: live.ID, State: state, Coalesced: true, StatusURL: live.path(),
 		})
 		return
 	}
 
-	job := s.newJobLocked(canonical, key)
-	select {
-	case s.queue <- job:
-		s.active[key] = job
-		s.metrics.addSubmitted()
-		s.metrics.addCacheMiss()
+	job := s.newJobLocked([]wideleak.RunSpec{canonical}, key, canonical.Concurrency, false)
+	if !s.enqueueLocked(job) {
 		s.mu.Unlock()
-		w.Header().Set(HeaderCacheTier, "miss")
-		w.Header().Set("Location", "/v1/studies/"+job.ID)
-		writeJSON(w, http.StatusAccepted, submitResponse{
-			ID: job.ID, State: JobQueued,
-			StatusURL: "/v1/studies/" + job.ID,
-		})
-	default:
-		// Load shedding: the queue is full. Unregister the stillborn job
-		// and tell the client when to come back.
-		delete(s.jobs, job.ID)
-		s.ids = s.ids[:len(s.ids)-1]
-		s.metrics.addShed()
-		s.mu.Unlock()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "job queue is full")
+		writeShed(w)
+		return
 	}
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	statuses := make([]jobStatus, 0, len(s.ids))
-	for i := len(s.ids) - 1; i >= 0; i-- {
-		statuses = append(statuses, s.jobs[s.ids[i]].status())
-	}
+	s.active[key] = job
+	s.metrics.addSubmitted()
+	s.metrics.addCacheMiss()
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, statuses)
+	w.Header().Set(HeaderCacheTier, "miss")
+	w.Header().Set("Location", job.path())
+	httpkit.WriteJSON(w, http.StatusAccepted, SubmitResponse{
+		ID: job.ID, State: JobQueued, StatusURL: job.path(),
+	})
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	job := s.job(r.PathValue("id"))
-	if job == nil {
-		writeError(w, http.StatusNotFound, "no such study")
-		return
-	}
-	setProvenanceHeaders(w, job)
-	writeJSON(w, http.StatusOK, job.status())
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job := s.job(r.PathValue("id"))
-	if job == nil {
-		writeError(w, http.StatusNotFound, "no such study")
-		return
-	}
-	if !job.requestCancel() {
-		writeError(w, http.StatusConflict, fmt.Sprintf("study is already %s", job.State()))
-		return
-	}
-	s.clearActive(job)
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": job.ID, "state": job.State()})
-}
-
-func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	job := s.job(r.PathValue("id"))
-	if job == nil {
-		writeError(w, http.StatusNotFound, "no such study")
-		return
-	}
-	format := r.URL.Query().Get("format")
-	if format == "" || format == "text" {
-		format = "txt"
-	}
-	res := job.snapshotResult()
-	if res == nil {
-		writeError(w, http.StatusConflict, fmt.Sprintf("study is %s, not done", job.State()))
-		return
-	}
-	setProvenanceHeaders(w, job)
-	out, ok := res.tables[format]
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (supported: txt, csv, json)", format))
-		return
-	}
-	switch format {
-	case "json":
-		w.Header().Set("Content-Type", "application/json")
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	}
-	w.Write(out)
-}
-
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	job := s.job(r.PathValue("id"))
-	if job == nil {
-		writeError(w, http.StatusNotFound, "no such study")
-		return
-	}
-	if r.URL.Query().Get("stream") != "" {
-		s.streamEvents(w, r, job)
-		return
-	}
-	// A done job serves its result's log verbatim (for cache hits, the
-	// log of the run that produced the cached table); a live job serves
-	// whatever has been recorded so far.
-	if res := job.snapshotResult(); res != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(res.events)
-		return
-	}
-	out, err := job.log.MarshalJSON()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(out)
-}
-
-// streamEvents serves the event log as server-sent events: first the
-// backlog, then live events until the job reaches a terminal state (or
-// the client goes away). Each event is `event: <kind>` + JSON data; a
-// final `event: done` carries the terminal job state.
-func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, job *Job) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	writeEvent := func(ev probe.Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
+// handleList lists studies (or batches), newest first.
+func (s *Server) handleList(batch bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var out []any
+		s.mu.Lock()
+		for i := len(s.order) - 1; i >= 0; i-- {
+			if job := s.order[i]; job.batch == batch {
+				out = append(out, job.status())
+			}
 		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, data); err != nil {
-			return false
+		s.mu.Unlock()
+		if out == nil {
+			out = []any{}
 		}
-		flusher.Flush()
-		return true
+		httpkit.WriteJSON(w, http.StatusOK, out)
 	}
+}
 
-	backlog, live := job.subscribe()
-	for _, ev := range backlog {
-		if !writeEvent(ev) {
+func (s *Server) handleStatus(batch bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if job := s.lookup(w, r, batch); job != nil {
+			setProvenanceHeaders(w, job)
+			httpkit.WriteJSON(w, http.StatusOK, job.status())
+		}
+	}
+}
+
+func (s *Server) handleCancel(batch bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		job := s.lookup(w, r, batch)
+		if job == nil {
 			return
 		}
+		if !job.requestCancel() {
+			httpkit.WriteError(w, http.StatusConflict, fmt.Sprintf("%s is already %s", noun(batch), job.State()))
+			return
+		}
+		s.clearActive(job)
+		httpkit.WriteJSON(w, http.StatusAccepted, map[string]any{"id": job.ID, "state": job.State()})
 	}
-	if live != nil {
-		for {
+}
+
+// handleTable serves one spec's table of a done job: a study's only
+// table, or the batch table the {spec} index names.
+func (s *Server) handleTable(batch bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		job := s.lookup(w, r, batch)
+		if job == nil {
+			return
+		}
+		idx := 0
+		if batch {
+			var err error
+			idx, err = strconv.Atoi(r.PathValue("spec"))
+			if err != nil || idx < 0 || idx >= len(job.Specs) {
+				httpkit.WriteError(w, http.StatusNotFound, fmt.Sprintf("batch has specs 0..%d", len(job.Specs)-1))
+				return
+			}
+		}
+		format := r.URL.Query().Get("format")
+		if format == "" || format == "text" {
+			format = "txt"
+		}
+		res := job.snapshotResult()
+		if res == nil {
+			httpkit.WriteError(w, http.StatusConflict, fmt.Sprintf("%s is %s, not done", noun(batch), job.State()))
+			return
+		}
+		setProvenanceHeaders(w, job)
+		out, ok := res.tables[idx][format]
+		if !ok {
+			httpkit.WriteError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (supported: txt, csv, json)", format))
+			return
+		}
+		switch format {
+		case "json":
+			w.Header().Set("Content-Type", "application/json")
+		case "csv":
+			w.Header().Set("Content-Type", "text/csv; charset=utf-8")
+		default:
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		}
+		w.Write(out)
+	}
+}
+
+// handleFrames serves a job's frame log — a study's probe events, a
+// batch's rows — as a JSON array of what is logged so far, or with
+// ?stream=1 as server-sent events until the job is terminal.
+func (s *Server) handleFrames(batch bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		job := s.lookup(w, r, batch)
+		if job == nil {
+			return
+		}
+		if r.URL.Query().Get("stream") != "" {
+			streamFrames(w, r, job)
+			return
+		}
+		out := []byte{'['}
+		for i, f := range job.snapshotFrames() {
+			if i > 0 {
+				out = append(out, ',')
+			}
+			out = append(out, f.data...)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(append(out, ']'))
+	}
+}
+
+// streamFrames serves the frame log as server-sent events: every frame
+// from the first, then live frames as they are logged, then a final
+// `event: done` carrying the terminal state. Each reader keeps its own
+// position in the append-only log, so a stalled reader only falls
+// behind: it never loses a frame, and it never holds up the job.
+func streamFrames(w http.ResponseWriter, r *http.Request, job *Job) {
+	stream, ok := httpkit.NewEventStream(w)
+	if !ok {
+		return
+	}
+	for pos := 0; ; {
+		frames, state, wake := job.framesFrom(pos)
+		for _, f := range frames {
+			if stream.Send(f.event, f.data) != nil {
+				return
+			}
+		}
+		pos += len(frames)
+		switch {
+		case wake != nil:
 			select {
-			case ev, ok := <-live:
-				if !ok {
-					live = nil
-				} else if !writeEvent(ev) {
-					return
-				}
+			case <-wake:
 			case <-r.Context().Done():
 				return
 			}
-			if live == nil {
-				break
-			}
+		case len(frames) == 0:
+			stream.Done(string(state))
+			return
 		}
 	}
-	fmt.Fprintf(w, "event: done\ndata: {\"state\":%q}\n\n", job.State())
-	flusher.Flush()
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, s.metrics.Render())
+	httpkit.WriteMetrics(w, s.metrics.Render())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -729,17 +749,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		httpkit.WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpkit.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// setProvenanceHeaders stamps a done job's cache attribution onto the
-// response; live jobs get no provenance (it is unknown until they run).
+// setProvenanceHeaders stamps a done study's cache attribution onto the
+// response; live jobs get no provenance (it is unknown until they run),
+// and batches are never result-cached, so they get none either.
 func setProvenanceHeaders(w http.ResponseWriter, job *Job) {
 	cached, worldHit, ok := job.provenance()
-	if !ok {
+	if !ok || job.batch {
 		return
 	}
 	if cached {
@@ -748,14 +769,4 @@ func setProvenanceHeaders(w http.ResponseWriter, job *Job) {
 		w.Header().Set(HeaderCacheTier, "miss")
 	}
 	w.Header().Set(HeaderWorldCache, worldCacheLabel(worldHit))
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

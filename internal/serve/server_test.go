@@ -38,7 +38,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // submit POSTs a spec and decodes the response, asserting the status.
-func submit(t *testing.T, ts *httptest.Server, spec wideleak.RunSpec, wantStatus int) submitResponse {
+func submit(t *testing.T, ts *httptest.Server, spec wideleak.RunSpec, wantStatus int) SubmitResponse {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -54,7 +54,7 @@ func submit(t *testing.T, ts *httptest.Server, spec wideleak.RunSpec, wantStatus
 		raw.ReadFrom(resp.Body)
 		t.Fatalf("submit status = %d, want %d (body: %s)", resp.StatusCode, wantStatus, raw.String())
 	}
-	var sub submitResponse
+	var sub SubmitResponse
 	if wantStatus < 400 {
 		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
 			t.Fatal(err)
@@ -64,7 +64,7 @@ func submit(t *testing.T, ts *httptest.Server, spec wideleak.RunSpec, wantStatus
 }
 
 // getStatus fetches one job's status document.
-func getStatus(t *testing.T, ts *httptest.Server, id string) jobStatus {
+func getStatus(t *testing.T, ts *httptest.Server, id string) StudyStatus {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/studies/" + id)
 	if err != nil {
@@ -74,7 +74,7 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) jobStatus {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %s = %d", id, resp.StatusCode)
 	}
-	var st jobStatus
+	var st StudyStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) jobStatus {
 }
 
 // waitTerminal polls a job until it leaves the live states.
-func waitTerminal(t *testing.T, ts *httptest.Server, id string) jobStatus {
+func waitTerminal(t *testing.T, ts *httptest.Server, id string) StudyStatus {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
@@ -93,7 +93,7 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string) jobStatus {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("job %s never finished", id)
-	return jobStatus{}
+	return StudyStatus{}
 }
 
 // fetchTable downloads one rendering of a finished job's table.
@@ -336,6 +336,11 @@ func TestServer_CancelQueued(t *testing.T) {
 	if st := getStatus(t, ts, queued.ID); st.State != JobCanceled {
 		t.Errorf("cancelled job resurrected as %s", st.State)
 	}
+	// A cancel that lands while the job is queued still counts as a
+	// canceled job, exactly once.
+	if m := metricsText(t, ts); !strings.Contains(m, `wideleakd_jobs_total{state="canceled"} 1`) {
+		t.Errorf("queued cancel not counted in wideleakd_jobs_total:\n%s", m)
+	}
 }
 
 // TestServer_CancelRunning: cancelling an in-flight job aborts the build
@@ -548,7 +553,7 @@ func TestServer_List(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var list []jobStatus
+	var list []StudyStatus
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}

@@ -178,6 +178,33 @@ type BatchStats struct {
 	ManifestsServed map[string]int `json:"manifests_served,omitempty"`
 }
 
+// Add folds another batch's counters into st — how the fleet merges the
+// stats of a batch's per-replica parts.
+func (st *BatchStats) Add(o BatchStats) {
+	st.Specs += o.Specs
+	st.CellsNeeded += o.CellsNeeded
+	st.CellsPlanned += o.CellsPlanned
+	st.CellsCached += o.CellsCached
+	st.CellsExecuted += o.CellsExecuted
+	st.WorldsPlanned += o.WorldsPlanned
+	st.WorldsBuilt += o.WorldsBuilt
+	st.Observations += o.Observations
+	st.LegacyPlaybacks += o.LegacyPlaybacks
+	st.DeviceCells = addCounts(st.DeviceCells, o.DeviceCells)
+	st.ManifestsServed = addCounts(st.ManifestsServed, o.ManifestsServed)
+}
+
+// addCounts adds src into dst, allocating dst only when src has entries.
+func addCounts(dst, src map[string]int) map[string]int {
+	for k, n := range src {
+		if dst == nil {
+			dst = make(map[string]int, len(src))
+		}
+		dst[k] += n
+	}
+	return dst
+}
+
 // BatchResult carries the per-spec tables (index-aligned with Specs)
 // and the sharing stats.
 type BatchResult struct {
@@ -581,18 +608,8 @@ func ExecuteBatch(ctx context.Context, specs []RunSpec, opts BatchOptions) (*Bat
 			res.Stats.WorldsBuilt++
 			res.Stats.Observations += w.study.Observations()
 			res.Stats.LegacyPlaybacks += w.study.LegacyPlaybacks()
-			for name, n := range w.study.World.DeviceCellCounts() {
-				if res.Stats.DeviceCells == nil {
-					res.Stats.DeviceCells = make(map[string]int)
-				}
-				res.Stats.DeviceCells[name] += n
-			}
-			for dialect, n := range w.study.World.ManifestServeCounts() {
-				if res.Stats.ManifestsServed == nil {
-					res.Stats.ManifestsServed = make(map[string]int)
-				}
-				res.Stats.ManifestsServed[dialect] += n
-			}
+			res.Stats.DeviceCells = addCounts(res.Stats.DeviceCells, w.study.World.DeviceCellCounts())
+			res.Stats.ManifestsServed = addCounts(res.Stats.ManifestsServed, w.study.World.ManifestServeCounts())
 		}
 	}
 	return res, nil

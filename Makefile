@@ -111,14 +111,16 @@ bench-cold:
 	else mv BENCH_cold.json BENCH_tableI.json; fi
 
 # fuzz runs the native fuzz targets over the parsers that consume
-# attacker-controlled bytes, each for FUZZTIME (go permits one -fuzz
-# pattern per invocation, hence the three runs).
+# attacker-controlled bytes, the TEE world-boundary frame decoder among
+# them, each for FUZZTIME (go permits one -fuzz pattern per invocation,
+# hence one run per target).
 fuzz:
 	$(GO) test ./internal/dash -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hls -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sstr -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mp4 -run '^$$' -fuzz '^FuzzParseInitSegment$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mp4 -run '^$$' -fuzz '^FuzzParseMediaSegment$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/oemcrypto -run '^$$' -fuzz '^FuzzTrustletFrame$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the fault-injection suite under the race detector: for the
 # five fixed seeds, Table I under transient faults must render

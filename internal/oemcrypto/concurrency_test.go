@@ -100,7 +100,8 @@ func TestConcurrentTracerSwaps(t *testing.T) {
 
 // BenchmarkDecryptCENC_L1 measures the TEE path's per-sample decrypt cost,
 // the ablation counterpart of BenchmarkDecryptCENC (L3): the difference is
-// the world-boundary crossing (gob + SMC dispatch).
+// the world-boundary crossing (request and response frames, each encoded
+// and copied out on decode, plus SMC dispatch).
 func BenchmarkDecryptCENC_L1(b *testing.B) {
 	f := newTEEFixture(b, "15.0")
 	f.provision(b)
@@ -116,6 +117,22 @@ func BenchmarkDecryptCENC_L1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := f.engine.DecryptCENC(s, mp4.SchemeCENC, [8]byte{1}, nil, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTEECall_SelectKey measures the world-boundary cost of a small
+// command: two short frames and a key-table lookup in the trustlet.
+func BenchmarkTEECall_SelectKey(b *testing.B) {
+	f := newTEEFixture(b, "15.0")
+	f.provision(b)
+	kid := [16]byte{1}
+	s := f.license(b, map[[16]byte][]byte{kid: bytes.Repeat([]byte{2}, 16)})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.engine.SelectKey(s, kid); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -146,6 +146,13 @@ func newSoftFixture(t testing.TB, version string) *engineFixture {
 
 func newTEEFixture(t testing.TB, version string) *engineFixture {
 	t.Helper()
+	return newWrappedTEEFixture(t, version, func(tl *Trustlet) tee.Trustlet { return tl })
+}
+
+// newWrappedTEEFixture is newTEEFixture with the trustlet passed through
+// wrap before it is loaded, so a test can observe the world boundary.
+func newWrappedTEEFixture(t testing.TB, version string, wrap func(*Trustlet) tee.Trustlet) *engineFixture {
+	t.Helper()
 	rand := wvcrypto.NewDeterministicReader("tee-fixture-" + version)
 	kb, err := keybox.New("TESTDEV-L1", 7711, rand)
 	if err != nil {
@@ -153,7 +160,7 @@ func newTEEFixture(t testing.TB, version string) *engineFixture {
 	}
 	world := tee.NewWorld("test-l1-device")
 	world.ProvisionStorage(TrustletName, "keybox", kb.Marshal())
-	if err := world.Load(NewTrustlet(version, rand)); err != nil {
+	if err := world.Load(wrap(NewTrustlet(version, rand))); err != nil {
 		t.Fatal(err)
 	}
 	eng, err := NewTEEEngine(version, world)

@@ -1,8 +1,6 @@
 package oemcrypto
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -15,9 +13,10 @@ import (
 // TrustletName is the Widevine trusted application's name in the TEE.
 const TrustletName = "widevine"
 
-// teeRequest/teeResponse are the gob-framed messages crossing the world
-// boundary. Only these opaque bytes are ever visible to a normal-world
-// monitor — never the trustlet's internal key material.
+// teeRequest/teeResponse are the messages crossing the world boundary, each
+// carried as one fixed-layout binary frame (teewire.go). Only these opaque
+// bytes are ever visible to a normal-world monitor — never the trustlet's
+// internal key material.
 type teeRequest struct {
 	Session    SessionID
 	Context    []byte
@@ -86,7 +85,7 @@ func (t *Trustlet) Invoke(ctx *tee.Context, cmd uint32, input []byte) ([]byte, e
 
 	var req teeRequest
 	if len(input) > 0 {
-		if err := gob.NewDecoder(bytes.NewReader(input)).Decode(&req); err != nil {
+		if err := req.unmarshal(input); err != nil {
 			return nil, fmt.Errorf("oemcrypto: tee request: %w", err)
 		}
 	}
@@ -140,11 +139,7 @@ func (t *Trustlet) Invoke(ctx *tee.Context, cmd uint32, input []byte) ([]byte, e
 		return nil, fmt.Errorf("oemcrypto: unknown tee command %d", cmd)
 	}
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&resp); err != nil {
-		return nil, fmt.Errorf("oemcrypto: tee response: %w", err)
-	}
-	return buf.Bytes(), nil
+	return resp.marshal(), nil
 }
 
 // funcProvisioned is a pseudo entry point (outside the hooked table) the
@@ -195,26 +190,23 @@ func NewTEEEngine(version string, world *tee.World) (*TEEEngine, error) {
 	return e, nil
 }
 
-// call serializes a request, crosses the world boundary and decodes the
-// response.
+// call frames a request, crosses the world boundary and decodes the
+// response frame.
 func (e *TEEEngine) call(fn Func, req teeRequest) (teeResponse, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&req); err != nil {
-		return teeResponse{}, fmt.Errorf("oemcrypto: encode tee request: %w", err)
-	}
-	out, err := e.world.Invoke(TrustletName, uint32(fn), buf.Bytes())
+	out, err := e.world.Invoke(TrustletName, uint32(fn), req.marshal())
 	if err != nil {
 		return teeResponse{}, err
 	}
 	var resp teeResponse
-	if err := gob.NewDecoder(bytes.NewReader(out)).Decode(&resp); err != nil {
+	if err := resp.unmarshal(out); err != nil {
 		return teeResponse{}, fmt.Errorf("oemcrypto: decode tee response: %w", err)
 	}
 	return resp, nil
 }
 
-// mapTEEError rehydrates sentinel errors across the gob boundary so callers
-// can still match with errors.Is.
+// mapTEEError rehydrates sentinel errors from the response frame's Err
+// string, which crosses the world boundary as plain text, so callers can
+// still match with errors.Is.
 func mapTEEError(msg string) error {
 	if msg == "" {
 		return nil

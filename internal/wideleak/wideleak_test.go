@@ -1,11 +1,13 @@
 package wideleak
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/ott"
+	"repro/internal/wvcrypto"
 )
 
 // The full study is expensive (ten deployments, ~30 provisioned devices),
@@ -43,6 +45,67 @@ func TestTableI(t *testing.T) {
 	if diffs := table.Diff(PaperTable()); len(diffs) != 0 {
 		t.Errorf("reproduced table differs from the paper's:\n%s\n\nrendered:\n%s",
 			strings.Join(diffs, "\n"), table.Render())
+	}
+}
+
+// privateKeyBudget is the number of Device RSA private-key operations
+// each app's row makes in a default sequential Table I pass, first on a
+// new world and then again once its observations are reset. Every
+// license exchange costs one wvcrypto.SignPSS (the request signature)
+// and one wvcrypto.DecryptOAEP (the session-key unwrap), embedded-CDM
+// plays included, so the two counts are equal. Disney+ and Amazon Prime
+// Video cache their first license session (ott.Profile.CachesLicenses),
+// so their rows make no exchange on a world's later passes: 27 + 27
+// operations cold, 22 + 22 warm.
+var privateKeyBudget = map[string][2]int64{
+	"Netflix":            {3, 3},
+	"Disney+":            {2, 0},
+	"Amazon Prime Video": {3, 0},
+	"Hulu":               {3, 3},
+	"HBO Max":            {2, 2},
+	"Starz":              {2, 2},
+	"myCANAL":            {3, 3},
+	"Showtime":           {3, 3},
+	"OCS":                {3, 3},
+	"Salto":              {3, 3},
+}
+
+// TestTableI_PrivateKeyBudget pins the RSA private-key operations of a
+// default sequential Table I pass, row by row. RSA is the bulk of a
+// computed study's CPU, and determinism makes the count exact, so an
+// extra license exchange fails here instead of drifting a benchmark.
+// The counters are process-wide: this test must not run alongside a
+// parallel one.
+func TestTableI_PrivateKeyBudget(t *testing.T) {
+	w, err := NewWorld("test", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Share the keys sharedStudy mints: the budget does not depend on
+	// where a key comes from.
+	if err := w.AttachKeyPool(sharedStudy(t).World.Registry.KeyPool()); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStudy(w)
+	for pass, wantTotal := range []int64{27, 22} {
+		s.ResetObservations()
+		var total int64
+		for _, p := range w.Profiles() {
+			sign0, decrypt0 := wvcrypto.PrivateKeyOps()
+			if _, err := s.buildRowGraceful(context.Background(), p.Name); err != nil {
+				t.Fatal(err)
+			}
+			sign1, decrypt1 := wvcrypto.PrivateKeyOps()
+			sign, decrypt := sign1-sign0, decrypt1-decrypt0
+			if want := privateKeyBudget[p.Name][pass]; sign != want || decrypt != want {
+				t.Errorf("pass %d, %s: %d SignPSS + %d DecryptOAEP, want %d + %d",
+					pass, p.Name, sign, decrypt, want, want)
+			}
+			total += sign
+		}
+		if total != wantTotal {
+			t.Errorf("pass %d made %d SignPSS, want %d", pass, total, wantTotal)
+		}
 	}
 }
 

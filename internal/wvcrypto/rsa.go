@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync/atomic"
 )
 
 // RSABits is the modulus size of the Device RSA Key, matching the 2048-bit
@@ -28,9 +29,9 @@ const rsaPublicExponent = 65537
 // keypool and world-snapshot tiers need a key minted at boot, restored
 // from a snapshot, or minted lazily to be byte-identical, so prime
 // generation here reads the stream directly (FIPS 186-5 style: draw a
-// candidate, pin the top two bits and the low bit, reject until prime).
-// big.Int.ProbablyPrime is deterministic for a given candidate, so the
-// whole key is determined by the reader's bytes.
+// candidate, pin the top two bits and the low bit, reject until prime;
+// see randomPrime). big.Int.ProbablyPrime is deterministic for a given
+// candidate, so the whole key is determined by the reader's bytes.
 func GenerateRSAKey(rand io.Reader) (*rsa.PrivateKey, error) {
 	e := big.NewInt(rsaPublicExponent)
 	one := big.NewInt(1)
@@ -70,6 +71,18 @@ func GenerateRSAKey(rand io.Reader) (*rsa.PrivateKey, error) {
 // until one is (probably) prime. The top two bits are set so the product
 // of two primes always reaches the full modulus size; the low bit makes
 // the candidate odd.
+//
+// Each candidate is first trial-divided by every odd prime below
+// smallPrimeBound (2^12, see hasSmallFactor); only a survivor becomes a
+// big.Int and pays for ProbablyPrime(20). The filter rejects only
+// numbers with a prime factor smaller than themselves — composites that
+// ProbablyPrime(20) rejects as well, since no Baillie–PSW pseudoprime is
+// known — and it reads nothing from rand, so the accepted candidate, the
+// stream position after it and therefore every key are byte-identical
+// to the unfiltered search. ProbablyPrime's own trial division (primes
+// up to 53) sends ~27% of odd candidates to a 1024-bit modexp; after the
+// filter only ~13.5% get there, which halves the modexps spent on
+// composites, the bulk of keygen.
 func randomPrime(rand io.Reader, bits int) (*big.Int, error) {
 	b := make([]byte, (bits+7)/8)
 	for {
@@ -89,6 +102,9 @@ func randomPrime(rand io.Reader, bits int) (*big.Int, error) {
 			b[1] |= 0b1000_0000
 		}
 		b[len(b)-1] |= 1
+		if hasSmallFactor(b) {
+			continue
+		}
 		p := new(big.Int).SetBytes(b)
 		if p.ProbablyPrime(20) {
 			return p, nil
@@ -96,10 +112,22 @@ func randomPrime(rand io.Reader, bits int) (*big.Int, error) {
 	}
 }
 
+// signPSSCalls and decryptOAEPCalls count the Device RSA private-key
+// operations made through this package, the dominant cost of a computed
+// study; see PrivateKeyOps.
+var signPSSCalls, decryptOAEPCalls atomic.Int64
+
+// PrivateKeyOps reports how many SignPSS and DecryptOAEP calls this
+// process has made so far, successful or not.
+func PrivateKeyOps() (sign, decrypt int64) {
+	return signPSSCalls.Load(), decryptOAEPCalls.Load()
+}
+
 // SignPSS signs the SHA-256 digest of msg with RSASSA-PSS, the signature
 // scheme OEMCrypto uses for license requests once a Device RSA key is
 // provisioned.
 func SignPSS(rand io.Reader, key *rsa.PrivateKey, msg []byte) ([]byte, error) {
+	signPSSCalls.Add(1)
 	digest := sha256.Sum256(msg)
 	sig, err := rsa.SignPSS(rand, key, crypto.SHA256, digest[:], &rsa.PSSOptions{
 		SaltLength: rsa.PSSSaltLengthEqualsHash,
@@ -133,6 +161,7 @@ func EncryptOAEP(rand io.Reader, pub *rsa.PublicKey, plaintext []byte) ([]byte, 
 // DecryptOAEP recovers an OAEP-encrypted session key with the Device RSA
 // private key.
 func DecryptOAEP(key *rsa.PrivateKey, ciphertext []byte) ([]byte, error) {
+	decryptOAEPCalls.Add(1)
 	out, err := rsa.DecryptOAEP(sha1.New(), nil, key, ciphertext, nil)
 	if err != nil {
 		return nil, fmt.Errorf("wvcrypto: oaep decrypt: %w", err)

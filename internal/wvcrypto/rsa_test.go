@@ -3,6 +3,9 @@ package wvcrypto
 import (
 	"bytes"
 	"crypto/rsa"
+	"fmt"
+	"io"
+	"math/big"
 	"sync"
 	"testing"
 )
@@ -15,7 +18,7 @@ var (
 
 // sharedTestKey generates one deterministic 2048-bit RSA key for the whole
 // package's tests; generation is the slow part so it is done once.
-func sharedTestKey(t *testing.T) *rsa.PrivateKey {
+func sharedTestKey(t testing.TB) *rsa.PrivateKey {
 	t.Helper()
 	testKeyOnce.Do(func() {
 		testKey, testKeyErr = GenerateRSAKey(NewDeterministicReader("wvcrypto-test-rsa"))
@@ -121,6 +124,140 @@ func TestGenerateRSAKey_Deterministic(t *testing.T) {
 	}
 	if got := sharedTestKey(t).N.BitLen(); got != RSABits {
 		t.Fatalf("modulus is %d bits, want %d", got, RSABits)
+	}
+}
+
+// unfilteredRandomPrime is randomPrime without the small-prime filter,
+// the oracle the identical-keys argument is checked against.
+func unfilteredRandomPrime(rand io.Reader, bits int) (*big.Int, error) {
+	b := make([]byte, (bits+7)/8)
+	for {
+		if _, err := io.ReadFull(rand, b); err != nil {
+			return nil, err
+		}
+		excess := len(b)*8 - bits
+		if excess != 0 {
+			b[0] >>= excess
+		}
+		if excess < 7 {
+			b[0] |= 0b1100_0000 >> excess
+		} else {
+			b[0] |= 1
+			b[1] |= 0b1000_0000
+		}
+		b[len(b)-1] |= 1
+		p := new(big.Int).SetBytes(b)
+		if p.ProbablyPrime(20) {
+			return p, nil
+		}
+	}
+}
+
+// unfilteredPrimes replays GenerateRSAKey's draw-and-retry loop over
+// unfilteredRandomPrime and returns the accepted pair.
+func unfilteredPrimes(t *testing.T, rand io.Reader) (p, q *big.Int) {
+	t.Helper()
+	e := big.NewInt(rsaPublicExponent)
+	one := big.NewInt(1)
+	for {
+		var err error
+		if p, err = unfilteredRandomPrime(rand, (RSABits+1)/2); err != nil {
+			t.Fatal(err)
+		}
+		if q, err = unfilteredRandomPrime(rand, RSABits/2); err != nil {
+			t.Fatal(err)
+		}
+		phi := new(big.Int).Mul(new(big.Int).Sub(p, one), new(big.Int).Sub(q, one))
+		if p.Cmp(q) != 0 && new(big.Int).Mul(p, q).BitLen() == RSABits &&
+			new(big.Int).ModInverse(e, phi) != nil {
+			return p, q
+		}
+	}
+}
+
+// The small-prime filter must not move a single key: GenerateRSAKey
+// agrees with the unfiltered search on N, P and Q, and leaves the
+// stream at the same position, label after label.
+func TestGenerateRSAKey_MatchesUnfilteredSearch(t *testing.T) {
+	for i := 0; i < 8; i++ {
+		label := fmt.Sprintf("wvcrypto-unfiltered-oracle-%d", i)
+		filtered := NewDeterministicReader(label)
+		key, err := GenerateRSAKey(filtered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unfiltered := NewDeterministicReader(label)
+		p, q := unfilteredPrimes(t, unfiltered)
+		if key.Primes[0].Cmp(p) != 0 || key.Primes[1].Cmp(q) != 0 {
+			t.Fatalf("%s: primes differ from the unfiltered search", label)
+		}
+		if key.N.Cmp(new(big.Int).Mul(p, q)) != 0 {
+			t.Fatalf("%s: modulus differs from the unfiltered search", label)
+		}
+		next, want := make([]byte, 32), make([]byte, 32)
+		if _, err := io.ReadFull(filtered, next); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(unfiltered, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(next, want) {
+			t.Fatalf("%s: filtered search consumed a different number of bytes", label)
+		}
+	}
+}
+
+// benchKeyLabels is the fixed label set BenchmarkGenerateRSAKey cycles,
+// so every run walks the same candidates; run it at a multiple of
+// len(benchKeyLabels) iterations (-benchtime 8x) for comparable means.
+var benchKeyLabels = func() []string {
+	labels := make([]string, 8)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("wvcrypto-bench-rsa-%d", i)
+	}
+	return labels
+}()
+
+var benchSink any
+
+func BenchmarkGenerateRSAKey(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		key, err := GenerateRSAKey(NewDeterministicReader(benchKeyLabels[i%len(benchKeyLabels)]))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = key
+	}
+	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/key")
+}
+
+func BenchmarkSignPSS(b *testing.B) {
+	key := sharedTestKey(b)
+	rand := NewDeterministicReader("bench-pss")
+	msg := []byte("license request bytes")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sig, err := SignPSS(rand, key, msg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = sig
+	}
+}
+
+func BenchmarkDecryptOAEP(b *testing.B) {
+	key := sharedTestKey(b)
+	ct, err := EncryptOAEP(NewDeterministicReader("bench-oaep"), &key.PublicKey, bytes.Repeat([]byte{0x77}, 16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pt, err := DecryptOAEP(key, ct)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = pt
 	}
 }
 

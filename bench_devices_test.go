@@ -1,8 +1,7 @@
 package wideleak
 
 // Device-axis benchmarks: the shared-work payoff of POST /v1/batches
-// when specs fan out across a wide device matrix, recorded in
-// BENCH_devices.json by `make bench-devices`.
+// when specs fan out across a wide device matrix.
 //
 // The mix is 4 seeds x 4 probe subsets over an 8-profile device set and
 // 4 apps — every spec names the same devices, so the batch planner
@@ -14,31 +13,37 @@ package wideleak
 // are pinned to one entry. Each device cell is ~2.7x the trio's
 // manufacturing and playback work, so the absolute gap is wider than
 // BenchmarkMatrix's even though the dedup ratio is the same shape.
-//
-// Key pools and world snapshots are warmed through one untimed batch
-// before measuring, so neither path pays RSA minting or cold world
-// builds inside the timed region.
 
 import (
-	"context"
 	"fmt"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/serve"
 )
 
 func BenchmarkMatrixDevices(b *testing.B) {
-	srv := serve.New(serve.Config{Workers: 2, QueueSize: 64, CacheSize: 1, CellCacheSize: 1})
-	ts := httptest.NewServer(srv.Handler())
-	b.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
+	ts := httptest.NewServer(devicesServer(b).Handler())
+	b.Cleanup(ts.Close)
+	specs := devicesSpecs()
+	b.Run("Batch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchBatchRoundTrip(b, ts, specs, true)
+		}
 	})
+	b.Run("Sequential", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, spec := range specs {
+				benchServeRoundTrip(b, ts, spec)
+			}
+		}
+	})
+}
 
+// devicesSpecs is the 4-seed × 4-subset mix over 8 devices and 4 apps.
+func devicesSpecs() []RunSpec {
 	devices := []string{"pixel", "l3", "nexus5", "pixel-2016", "galaxy-s7", "moto-g5", "oneplus-5", "shield-tv"}
 	apps := make([]string, 0, 4)
 	for _, p := range Profiles()[:4] {
@@ -62,25 +67,18 @@ func BenchmarkMatrixDevices(b *testing.B) {
 			})
 		}
 	}
-
-	// Warm the per-seed key pools and world snapshots through the
-	// server's own surface before timing: the cell and result tiers are
-	// pinned to one entry, so nothing else carries over and both timed
-	// paths start from the same warm fixture tier.
-	benchBatchRoundTrip(b, ts, specs, true)
-
-	b.Run("Batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchBatchRoundTrip(b, ts, specs, true)
-		}
-	})
-	b.Run("Sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, spec := range specs {
-				benchServeRoundTrip(b, ts, spec)
-			}
-		}
-	})
+	return specs
 }
+
+// devicesServer is BenchmarkMatrixDevices' daemon with the per-seed key
+// pools and world snapshots warmed through one untimed batch, once per
+// test binary, so neither timed path pays RSA minting or cold world
+// builds: the cell and result tiers are pinned to one entry, so nothing
+// else carries over and both paths start from the same warm fixture tier.
+var devicesServer = shared(func(b *testing.B) *serve.Server {
+	srv := serve.New(serve.Config{Workers: 2, QueueSize: 64, CacheSize: 1, CellCacheSize: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	benchBatchRoundTrip(b, ts, devicesSpecs(), true)
+	return srv
+})

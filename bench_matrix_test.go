@@ -1,8 +1,7 @@
 package wideleak
 
 // Matrix-scheduler benchmarks: the shared-work payoff of POST
-// /v1/batches measured through the daemon's real HTTP surface, recorded
-// in BENCH_matrix.json by `make bench-matrix`.
+// /v1/batches measured through the daemon's real HTTP surface.
 //
 // The mix is 8 seeds x 4 probe subsets whose expansions overlap heavily
 // (each seed's four specs need 14 probe-cell runs sequentially but only
@@ -18,7 +17,8 @@ package wideleak
 // intra-batch sharing. The cross-request memoization tier is measured
 // separately (TestServer_CellRecombination, wideleakd_jobs_cell_*
 // metrics). Key pools and world snapshots are prewarmed outside timing
-// for every seed, so neither path pays RSA minting or world builds.
+// for every seed, so neither path pays RSA minting (pinned: zero keys
+// minted) or world builds.
 
 import (
 	"bytes"
@@ -103,23 +103,28 @@ func benchBatchRoundTrip(b *testing.B, ts *httptest.Server, specs []RunSpec, wan
 	}
 }
 
-func BenchmarkMatrix(b *testing.B) {
-	srv := serve.New(serve.Config{Workers: 2, QueueSize: 64, CacheSize: 1, CellCacheSize: 1})
-	ts := httptest.NewServer(srv.Handler())
-	b.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
+const matrixSeeds = 8
 
-	const seeds = 8
-	seed := func(i int) string { return fmt.Sprintf("bench-matrix-%d", i) }
-	for i := 0; i < seeds; i++ {
-		if _, err := srv.Prewarm(context.Background(), seed(i), 0, 0); err != nil {
+func matrixSeed(i int) string { return fmt.Sprintf("bench-matrix-%d", i) }
+
+// matrixServer is BenchmarkMatrix's daemon with the keys of the four
+// benchmarked apps and every seed's world snapshot prewarmed, once per
+// test binary.
+var matrixServer = shared(func(b *testing.B) *serve.Server {
+	srv := serve.New(serve.Config{Workers: 2, QueueSize: 64, CacheSize: 1, CellCacheSize: 1})
+	keys := len(DeviceStableIDs(Profiles()[:4]))
+	for i := 0; i < matrixSeeds; i++ {
+		if _, err := srv.Prewarm(context.Background(), matrixSeed(i), keys, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return srv
+})
+
+func BenchmarkMatrix(b *testing.B) {
+	srv := matrixServer(b)
+	ts := httptest.NewServer(srv.Handler())
+	b.Cleanup(ts.Close)
 
 	apps := make([]string, 0, 4)
 	for _, p := range Profiles()[:4] {
@@ -135,16 +140,16 @@ func BenchmarkMatrix(b *testing.B) {
 		{"q1", "q2", "q3"},
 	}
 	var overlapping []RunSpec
-	for i := 0; i < seeds; i++ {
+	for i := 0; i < matrixSeeds; i++ {
 		for _, probes := range subsets {
-			overlapping = append(overlapping, RunSpec{Seed: seed(i), Profiles: apps, Probes: probes})
+			overlapping = append(overlapping, RunSpec{Seed: matrixSeed(i), Profiles: apps, Probes: probes})
 		}
 	}
 	// Control: one full-probe spec per seed — distinct worlds, distinct
 	// cells, nothing for the planner to share.
 	var control []RunSpec
-	for i := 0; i < seeds; i++ {
-		control = append(control, RunSpec{Seed: seed(i), Profiles: apps, Probes: subsets[0]})
+	for i := 0; i < matrixSeeds; i++ {
+		control = append(control, RunSpec{Seed: matrixSeed(i), Profiles: apps, Probes: subsets[0]})
 	}
 
 	b.Run("Overlapping_Batch", func(b *testing.B) {
@@ -175,4 +180,7 @@ func BenchmarkMatrix(b *testing.B) {
 			}
 		}
 	})
+	if minted := srv.Metrics().RSAMinted(); minted != 0 {
+		b.Fatalf("prewarmed matrix minted %d keys, want 0", minted)
+	}
 }

@@ -1,20 +1,18 @@
 package wideleak
 
 // Manifest-dialect benchmarks: what the CDN's on-the-fly repackaging
-// costs, recorded in BENCH_protocols.json by `make bench-protocols`.
+// costs.
 //
-// Three shapes per dialect tell the whole story. "cold" is the first
+// Two shapes per dialect tell the whole story. "cold" is the first
 // request for a dialect form: the canonical DASH manifest is parsed and
 // re-serialized into the wire format (for DASH itself this is a map
 // lookup — the stored form IS the wire form, so it doubles as the
 // floor). "memoized" is every later request: the repack cache turns all
 // three dialects into the same map lookup, which is why a study run
 // through HLS or Smooth Streaming pays the conversion once per title,
-// not once per playback.
-//
-// The name deliberately starts "BenchmarkM" so the root `make bench`
-// suite (regex '^Benchmark[^M]') skips it, like the matrix benchmarks:
-// it gets its own baseline file and bench-guard entry instead.
+// not once per playback. Each op amortizes over an inner batch, and the
+// numbers are reported per item: ns/repack (cold) and ns/lookup
+// (memoized).
 
 import (
 	"testing"
@@ -33,11 +31,8 @@ func BenchmarkManifestProtocols(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	// The suite runs at -benchtime=1x (like the matrix benchmarks), so
-	// each op amortizes over an inner batch — otherwise a single ~1µs
-	// memoized serve would be pure timer noise against the guard's
-	// tolerance. ns_per_op is therefore per coldBatch repacks (cold) or
-	// per warmBatch lookups (memoized), consistent across runs.
+	// The inner batches keep a short run's few ~1µs memoized serves above
+	// timer noise; ns/op is hidden so only the per-item unit is read.
 	const (
 		coldBatch = 16
 		warmBatch = 4096
@@ -60,6 +55,7 @@ func BenchmarkManifestProtocols(b *testing.B) {
 					}
 				}
 			}
+			reportPer(b, coldBatch, "ns/repack")
 		})
 		b.Run(dialect+"_memoized", func(b *testing.B) {
 			srv := cdn.NewServer("cdn.bench")
@@ -77,6 +73,13 @@ func BenchmarkManifestProtocols(b *testing.B) {
 					}
 				}
 			}
+			reportPer(b, warmBatch, "ns/lookup")
 		})
 	}
+}
+
+// reportPer replaces ns/op with the time per item of a batch-per-op loop.
+func reportPer(b *testing.B, batch int, unit string) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), unit)
+	b.ReportMetric(0, "ns/op")
 }

@@ -123,40 +123,29 @@ func BenchmarkServer_Throughput(b *testing.B) {
 }
 
 // BenchmarkServer_ColdWithWorldCache measures the tier-2 path the
-// cold-start work attacks: every iteration is a tier-1 MISS (a request
-// shape the daemon has never served — the probe subset and profile vary
-// per iteration) over a prewarmed seed, so the study runs for real but
-// its world restores from the banked snapshot and its keys come from the
-// boot-warmed pool. Compare against Throughput/Cold — same full
-// submit→run→fetch round trip, minus world build and RSA minting.
+// cold-start work attacks: every iteration is a tier-1 MISS (the result
+// and cell tiers hold one entry, and consecutive requests differ in app
+// and probe subset) over a prewarmed seed, so the study runs for real
+// but its world restores from the banked snapshot and its keys come from
+// the boot-warmed pool. Compare against Throughput/Cold — same full
+// submit→run→fetch round trip, minus world build and RSA minting. The
+// shapes repeat with period 10, so any 10 consecutive iterations cost
+// the same.
 func BenchmarkServer_ColdWithWorldCache(b *testing.B) {
-	srv := serve.New(serve.Config{Workers: 4, QueueSize: 64, CacheSize: 1024})
+	srv := worldCacheServer(b)
 	ts := httptest.NewServer(srv.Handler())
-	b.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
-	// Boot-time warm-up, outside timing: every device key for the seed,
-	// plus the banked world snapshot.
-	if _, err := srv.Prewarm(context.Background(), "bench-worldcache", 0, 4); err != nil {
-		b.Fatal(err)
-	}
+	b.Cleanup(ts.Close)
 
 	apps := Profiles()
 	probes := [][]string{{"q1"}, {"q2"}, {"q3"}, {"q4"}, {"q1", "q2"}, {"q2", "q3"}, {"q3", "q4"}, {"q1", "q4"}, {"q1", "q2", "q3"}, {"q2", "q3", "q4"}}
-	var n atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A request shape never seen before: misses the result cache,
-		// hits the world cache.
-		k := n.Add(1) - 1
+		k := worldCacheShapes.Add(1) - 1
 		spec := RunSpec{
 			Seed:     "bench-worldcache",
 			Profiles: []string{apps[k%int64(len(apps))].Name},
-			Probes:   probes[(k/int64(len(apps)))%int64(len(probes))],
+			Probes:   probes[k%int64(len(probes))],
 		}
 		benchServeRoundTrip(b, ts, spec)
 	}
@@ -164,3 +153,18 @@ func BenchmarkServer_ColdWithWorldCache(b *testing.B) {
 		b.Fatalf("world-cache path minted %d keys, want 0", minted)
 	}
 }
+
+// worldCacheServer is BenchmarkServer_ColdWithWorldCache's daemon after
+// its boot-time warm-up, outside timing: every device key for the seed,
+// plus the banked world snapshot.
+var worldCacheServer = shared(func(b *testing.B) *serve.Server {
+	srv := serve.New(serve.Config{Workers: 4, QueueSize: 64, CacheSize: 1, CellCacheSize: 1})
+	if _, err := srv.Prewarm(context.Background(), "bench-worldcache", 0, 4); err != nil {
+		b.Fatal(err)
+	}
+	return srv
+})
+
+// worldCacheShapes numbers the requests across every run in the binary,
+// so a run never opens with the shape the previous run ended on.
+var worldCacheShapes atomic.Int64

@@ -18,56 +18,83 @@ package wideleak
 //	BenchmarkE5_FullChain                 — §IV-D end to end
 //	BenchmarkE6_L1MemScan                 — the L1-resistance ablation
 //
-// Worlds are built once per benchmark (device provisioning mints 2048-bit
-// RSA keys); iterations then measure the steady-state cost of the
-// operation itself.
+// Warm worlds are built once per test binary (device provisioning mints
+// 2048-bit RSA keys); iterations then measure the steady-state cost of
+// the operation itself. cmd/benchmerge runs this suite and guards it.
 
 import (
 	"context"
+	"crypto/rsa"
 	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/attack"
 	"repro/internal/monitor"
+	"repro/internal/oemcrypto"
 	iwl "repro/internal/wideleak"
 )
 
-var (
-	benchOnce  sync.Once
-	benchStudy *iwl.Study
-	benchErr   error
-)
-
-func benchSharedStudy(b *testing.B) *iwl.Study {
-	b.Helper()
-	benchOnce.Do(func() {
-		w, err := iwl.NewWorld("bench", nil)
-		if err != nil {
-			benchErr = err
-			return
+// shared runs a benchmark's set-up once per test binary and hands every
+// later call the same value, so -count runs and the calibration passes
+// do not re-mint its 2048-bit device keys. The set-up must not register
+// b.Cleanup: its value outlives the benchmark that built it.
+func shared[T any](setup func(b *testing.B) T) func(b *testing.B) T {
+	var (
+		once sync.Once
+		v    T
+		ok   bool
+	)
+	return func(b *testing.B) T {
+		b.Helper()
+		once.Do(func() { v, ok = setup(b), true })
+		if !ok {
+			b.Fatal("shared benchmark set-up failed")
 		}
-		benchStudy = iwl.NewStudy(w)
-		// The shared study is the sequential baseline; the parallel
-		// variants below request their own worker counts explicitly.
-		benchStudy.Concurrency = 1
-		// Warm every fixture (provisioning, RSA minting) outside timing.
-		for _, p := range w.Profiles() {
-			if _, err := benchStudy.RunQ4(p.Name); err != nil {
-				benchErr = err
-				return
-			}
-			if _, err := benchStudy.RunQ1(p.Name); err != nil {
-				benchErr = err
-				return
-			}
-		}
-	})
-	if benchErr != nil {
-		b.Fatal(benchErr)
+		return v
 	}
-	return benchStudy
 }
+
+// benchKeys is the "bench" seed's key pool, pre-minted once on every
+// core; the warm worlds below attach it instead of minting their own.
+var benchKeys = shared(func(b *testing.B) *KeyPool {
+	pool := iwl.NewKeyPool("bench")
+	if err := pool.Prewarm(context.Background(), iwl.DeviceStableIDs(nil), runtime.GOMAXPROCS(0)); err != nil {
+		b.Fatal(err)
+	}
+	return pool
+})
+
+// benchWorld builds a fresh "bench" world over the shared key pool.
+func benchWorld(b *testing.B) *iwl.World {
+	b.Helper()
+	w, err := iwl.NewWorld("bench", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := w.AttachKeyPool(benchKeys(b)); err != nil {
+		b.Fatal(err)
+	}
+	return w
+}
+
+// benchSharedStudy is the sequential warm study most benchmarks measure
+// against; the parallel variants request their own worker counts.
+var benchSharedStudy = shared(func(b *testing.B) *iwl.Study {
+	w := benchWorld(b)
+	s := iwl.NewStudy(w)
+	s.Concurrency = 1
+	// Warm every fixture (provisioning, RSA minting) outside timing.
+	for _, p := range w.Profiles() {
+		if _, err := s.RunQ4(p.Name); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.RunQ1(p.Name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s
+})
 
 // BenchmarkTableI_Q1_WidevineUsage measures one full instrumented
 // observation cycle (L1 + L3 playback under CDM hooks and network MITM)
@@ -158,22 +185,7 @@ func BenchmarkTableI_Full(b *testing.B) {
 // backoff, jitter draws) of a full study pass. The table must still match
 // the paper — faults are masked, not tolerated-by-luck.
 func BenchmarkTableI_Full_Faulty(b *testing.B) {
-	w, err := iwl.NewWorld("bench-faulty", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w.InstallFaults(iwl.FaultSpec{Seed: "bench", Default: iwl.TransientFaults(0.25)})
-	s := iwl.NewStudy(w)
-	s.Concurrency = 1
-	// Warm fixtures and lazy device provisioning (the RSA phase) outside
-	// timing with one discarded pass, so iterations measure the same
-	// steady state as BenchmarkTableI_Full — plus the fault/retry work.
-	if err := w.WarmFixtures(context.Background(), runtime.GOMAXPROCS(0)); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := s.BuildTable(); err != nil {
-		b.Fatal(err)
-	}
+	s := faultyStudy(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -186,17 +198,34 @@ func BenchmarkTableI_Full_Faulty(b *testing.B) {
 			b.Fatalf("faulty table diverged from paper: %v", diffs)
 		}
 	}
-	if w.FaultPlan().Stats().Total() == 0 {
+	if s.World.FaultPlan().Stats().Total() == 0 {
 		b.Fatal("no faults injected")
 	}
 }
+
+// faultyStudy is BenchmarkTableI_Full_Faulty's world under the fault
+// plan, with fixtures and lazy device provisioning (the RSA phase)
+// warmed by one discarded pass, so iterations measure the same steady
+// state as BenchmarkTableI_Full plus the fault/retry work.
+var faultyStudy = shared(func(b *testing.B) *iwl.Study {
+	w := benchWorld(b)
+	w.InstallFaults(iwl.FaultSpec{Seed: "bench", Default: iwl.TransientFaults(0.25)})
+	s := iwl.NewStudy(w)
+	s.Concurrency = 1
+	if err := w.WarmFixtures(context.Background(), runtime.GOMAXPROCS(0)); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.BuildTable(); err != nil {
+		b.Fatal(err)
+	}
+	return s
+})
 
 // BenchmarkTableI_ProbeSubset measures a registry-restricted pass (q2+q3
 // only) over a warm world: the shared observation plus manifest analysis,
 // with no Q1/Q4 device playbacks — the cost floor of probe selection.
 func BenchmarkTableI_ProbeSubset(b *testing.B) {
-	shared := benchSharedStudy(b)
-	s := iwl.NewStudy(shared.World)
+	s := iwl.NewStudy(benchSharedStudy(b).World)
 	s.Concurrency = 1
 	s.Probes = []string{"q2", "q3"}
 	if _, err := s.BuildTable(); err != nil {
@@ -275,20 +304,11 @@ func BenchmarkTableI_Full_WarmParallelN(b *testing.B) {
 // 2048-bit key generation. Compare against Parallel1 to read off the RSA
 // share of the cold start.
 func BenchmarkColdStart_Pooled(b *testing.B) {
-	pool := iwl.NewKeyPool("bench-cold")
-	if err := pool.Prewarm(context.Background(), iwl.DeviceStableIDs(nil), runtime.GOMAXPROCS(0)); err != nil {
-		b.Fatal(err)
-	}
+	benchKeys(b) // mint outside timing
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, err := iwl.NewWorld("bench-cold", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.AttachKeyPool(pool); err != nil {
-			b.Fatal(err)
-		}
+		w := benchWorld(b)
 		table, err := iwl.NewStudy(w).BuildTableParallel(1)
 		if err != nil {
 			b.Fatal(err)
@@ -306,17 +326,7 @@ func BenchmarkColdStart_Pooled(b *testing.B) {
 // warmed default-world snapshot — the milliseconds a snapshot-restored
 // world costs in place of the seconds a cold build spends minting keys.
 func BenchmarkWorldSnapshot_Restore(b *testing.B) {
-	w, err := iwl.NewWorld("bench-snapshot", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := iwl.NewStudy(w).BuildTable(); err != nil {
-		b.Fatal(err)
-	}
-	snap, err := w.Snapshot()
-	if err != nil {
-		b.Fatal(err)
-	}
+	snap := warmSnapshot(b)
 	b.SetBytes(int64(len(snap)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -330,6 +340,19 @@ func BenchmarkWorldSnapshot_Restore(b *testing.B) {
 		}
 	}
 }
+
+// warmSnapshot is a snapshot of a default world after one full study.
+var warmSnapshot = shared(func(b *testing.B) []byte {
+	w := benchWorld(b)
+	if _, err := iwl.NewStudy(w).BuildTable(); err != nil {
+		b.Fatal(err)
+	}
+	snap, err := w.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return snap
+})
 
 // BenchmarkWarmFixtures_ParallelN measures pre-building every fixture on a
 // bounded pool from a cold world: keybox minting and app installs. (Device
@@ -367,23 +390,11 @@ func BenchmarkFigure1_PlaybackFlow(b *testing.B) {
 // BenchmarkE5_KeyboxRecovery measures the §IV-D memory scan against a warm
 // L3 DRM process.
 func BenchmarkE5_KeyboxRecovery(b *testing.B) {
-	s := benchSharedStudy(b)
-	f, err := s.World.Fixture("Netflix")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if r := f.App("nexus5").Play(iwl.ContentID); !r.Played() {
-		b.Fatalf("playback failed: %+v", r)
-	}
-	mon := monitor.New()
-	handle, err := mon.AttachProcess(f.Device("nexus5").DRMProcess)
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := e5Capture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := attack.RecoverKeybox(handle); err != nil {
+		if _, err := attack.RecoverKeybox(c.handle); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -392,8 +403,37 @@ func BenchmarkE5_KeyboxRecovery(b *testing.B) {
 // BenchmarkE5_KeyLadder measures the ladder replay (RSA unwrap + OAEP +
 // CMAC KDF + CBC unwrap) over a captured trace.
 func BenchmarkE5_KeyLadder(b *testing.B) {
-	s := benchSharedStudy(b)
-	f, err := s.World.Fixture("Netflix")
+	c := e5Capture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keys, err := attack.RecoverContentKeys(c.rsaKey, c.events)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(keys) == 0 {
+			b.Fatal("no keys recovered")
+		}
+	}
+}
+
+type e5State struct {
+	handle *monitor.ProcessHandle
+	events []oemcrypto.CallEvent
+	rsaKey *rsa.PrivateKey
+}
+
+// e5Capture is one monitored Netflix playback on the discontinued nexus5,
+// with the keybox and Device RSA key recovered from it. It lives in its
+// own world: the scan cost grows with every playback an L3 process has
+// served, so sharing benchSharedStudy would tie these numbers to how many
+// iterations the other benchmarks happened to run.
+var e5Capture = shared(func(b *testing.B) (c e5State) {
+	w, err := iwl.NewWorld("bench-e5", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := w.Fixture("Netflix")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -403,31 +443,19 @@ func BenchmarkE5_KeyLadder(b *testing.B) {
 	if r := f.App("nexus5").Play(iwl.ContentID); !r.Played() {
 		b.Fatalf("playback failed: %+v", r)
 	}
-	events := mon.Events()
-	handle, err := mon.AttachProcess(f.Device("nexus5").DRMProcess)
+	c.events = mon.Events()
+	if c.handle, err = mon.AttachProcess(f.Device("nexus5").DRMProcess); err != nil {
+		b.Fatal(err)
+	}
+	kb, err := attack.RecoverKeybox(c.handle)
 	if err != nil {
 		b.Fatal(err)
 	}
-	kb, err := attack.RecoverKeybox(handle)
-	if err != nil {
+	if c.rsaKey, err = attack.RecoverDeviceRSAKey(kb, f.Device("nexus5").Storage); err != nil {
 		b.Fatal(err)
 	}
-	rsaKey, err := attack.RecoverDeviceRSAKey(kb, f.Device("nexus5").Storage)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		keys, err := attack.RecoverContentKeys(rsaKey, events)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(keys) == 0 {
-			b.Fatal("no keys recovered")
-		}
-	}
-}
+	return c
+})
 
 // BenchmarkE5_FullChain measures the complete §IV-D attack end to end
 // (monitored playback + scan + unwrap + replay + rip).

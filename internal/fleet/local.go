@@ -11,7 +11,7 @@ import (
 
 // LocalReplica is one in-process wideleakd child: a full serve.Server
 // behind its own TCP listener on 127.0.0.1:0. The fleet daemon's -spawn
-// mode, the e2e suites and the load harness all use it to stand up a
+// mode, the e2e suites and the fleet smoke test use it to stand up a
 // self-contained fleet with no external processes.
 type LocalReplica struct {
 	ID  string

@@ -57,9 +57,11 @@ bench-guard:
 
 # fuzz runs the native fuzz targets over the parsers that consume
 # attacker-controlled bytes, the TEE world-boundary frame decoder among
-# them, and the RSA keygen small-prime filter against its big.Int
-# reference, each for FUZZTIME (go permits one -fuzz pattern per invocation,
-# hence one run per target).
+# them, the RSA keygen small-prime filter against its big.Int
+# reference, and FuzzRunSpec (RunSpec decode + Canonicalize: idempotent
+# canonical bytes, stable Key and WorldKey — what fleet failover
+# replays), each for FUZZTIME (go permits one -fuzz pattern per
+# invocation, hence one run per target).
 fuzz:
 	$(GO) test ./internal/dash -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hls -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
@@ -68,6 +70,7 @@ fuzz:
 	$(GO) test ./internal/mp4 -run '^$$' -fuzz '^FuzzParseMediaSegment$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oemcrypto -run '^$$' -fuzz '^FuzzTrustletFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wvcrypto -run '^$$' -fuzz '^FuzzSmallFactor$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wideleak -run '^$$' -fuzz '^FuzzRunSpec$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the fault-injection suite under the race detector: for the
 # five fixed seeds, Table I under transient faults must render

@@ -1,16 +1,15 @@
 // Command wideleakfleet fronts a fleet of wideleakd replicas with a
-// consistent-hash router: every study request is routed by its world
-// identity (seed + fault schedule), so each replica accumulates an
-// independent warm cache set, 429 sheds and dead replicas spill to the
-// ring successor, and a replica lost mid-run is failed over
+// consistent-hash router: every study, and every part of a batch, is
+// routed by its world identity (seed + fault schedule), so each replica
+// accumulates an independent warm cache set, 429 sheds and dead replicas
+// spill to the ring successor, and a replica lost mid-run is failed over
 // transparently (determinism makes the rerun byte-identical).
 //
 // Usage:
 //
 //	wideleakfleet [-addr host:port] (-spawn n | -replicas url1,url2,...)
 //	              [-replica-workers n] [-replica-queue n] [-replica-cache n]
-//	              [-vnodes n] [-load-factor f] [-health-interval d]
-//	              [-drain-timeout d] [-pprof host:port]
+//	              [-health-interval d] [-drain-timeout d] [-pprof host:port]
 //
 // With -spawn n the daemon boots n in-process wideleakd children on
 // random ports — a self-contained fleet in one command. With -replicas
@@ -52,8 +51,6 @@ func run(args []string, ready func(addr string)) error {
 	replicaWorkers := fs.Int("replica-workers", 0, "worker pool size per spawned replica (0 = GOMAXPROCS)")
 	replicaQueue := fs.Int("replica-queue", 16, "job queue capacity per spawned replica")
 	replicaCache := fs.Int("replica-cache", 64, "result cache capacity per spawned replica")
-	vnodes := fs.Int("vnodes", 128, "virtual nodes per replica on the hash ring")
-	loadFactor := fs.Float64("load-factor", 1.25, "bounded-load factor (submissions skip an owner above factor x fleet average)")
 	healthInterval := fs.Duration("health-interval", 500*time.Millisecond, "active /healthz probe period")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to drain the router and spawned replicas on shutdown")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this side address (empty = disabled)")
@@ -102,11 +99,7 @@ func run(args []string, ready func(addr string)) error {
 		}
 	}
 
-	router, err := fleet.NewRouter(members, fleet.Options{
-		VNodes:         *vnodes,
-		LoadFactor:     *loadFactor,
-		HealthInterval: *healthInterval,
-	})
+	router, err := fleet.NewRouter(members, fleet.Options{HealthInterval: *healthInterval})
 	if err != nil {
 		return err
 	}

@@ -57,9 +57,9 @@ func getFleetBatchStatus(t *testing.T, base, id string) fleetBatchStatus {
 	return st
 }
 
-func waitFleetBatchDone(t *testing.T, base, id string) fleetBatchStatus {
+func waitFleetBatchDone(t *testing.T, base, id string, wait time.Duration) fleetBatchStatus {
 	t.Helper()
-	deadline := time.Now().Add(120 * time.Second)
+	deadline := time.Now().Add(wait)
 	for time.Now().Before(deadline) {
 		st := getFleetBatchStatus(t, base, id)
 		switch st.State {
@@ -72,6 +72,65 @@ func waitFleetBatchDone(t *testing.T, base, id string) fleetBatchStatus {
 	}
 	t.Fatalf("batch %s never finished", id)
 	return fleetBatchStatus{}
+}
+
+// fleetSubmitBatch POSTs a batch to the fleet and returns its ID, part
+// count and response headers.
+func fleetSubmitBatch(t *testing.T, base string, specs []wideleak.RunSpec, wantStatus int) (string, int, http.Header) {
+	t.Helper()
+	body, err := json.Marshal(map[string]any{"specs": specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/batches", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	if resp.StatusCode != wantStatus {
+		t.Fatalf("batch submit = %d, want %d (body: %s)", resp.StatusCode, wantStatus, buf.String())
+	}
+	var sub struct {
+		ID    string `json:"id"`
+		Parts int    `json:"parts"`
+	}
+	if wantStatus < 400 {
+		if err := json.Unmarshal(buf.Bytes(), &sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sub.ID, sub.Parts, resp.Header
+}
+
+func fetchFleetBatchTable(t *testing.T, base, id string, spec int, format string) []byte {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/batches/%s/tables/%d?format=%s", base, id, spec, format))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch %s table %d = %d (body: %s)", id, spec, resp.StatusCode, buf.String())
+	}
+	return buf.Bytes()
+}
+
+// seedOwnedElsewhere returns the first seed prefix0, prefix1, ... whose
+// world is not owned by replica notOwner.
+func seedOwnedElsewhere(t *testing.T, rt *Router, prefix, notOwner string) string {
+	t.Helper()
+	for i := 0; i < 64; i++ {
+		cand := fmt.Sprintf("%s%d", prefix, i)
+		if rt.OwnerOf(worldKeyOf(t, wideleak.RunSpec{Seed: cand})) != notOwner {
+			return cand
+		}
+	}
+	t.Fatal("no candidate seed hashed to another replica")
+	return ""
 }
 
 // TestRouter_BatchFanout: a batch whose specs span two worlds is split
@@ -128,7 +187,7 @@ func TestRouter_BatchFanout(t *testing.T) {
 		t.Fatalf("batch split into %d parts, want 2 (one per world owner)", sub.Parts)
 	}
 
-	st := waitFleetBatchDone(t, base, sub.ID)
+	st := waitFleetBatchDone(t, base, sub.ID, 120*time.Second)
 	if st.RowsDone != 4 {
 		t.Errorf("rows done = %d, want 4", st.RowsDone)
 	}

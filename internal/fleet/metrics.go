@@ -16,14 +16,14 @@ import (
 type Metrics struct {
 	mu sync.Mutex
 
-	routed      map[string]int64 // replica → submits landed there
-	spilled     map[string]int64 // replica → submits that spilled onto it (≠ ring owner)
+	routed      map[string]int64 // replica → placements landed there (studies, batch parts, failovers)
+	spilled     map[string]int64 // replica → placements that spilled onto it (≠ ring owner)
 	replicaShed map[string]int64 // replica → 429s it answered
 	proxyErrors map[string]int64 // replica → transport failures talking to it
-	batchParts  map[string]int64 // replica → batch partitions landed there
+	batchParts  map[string]int64 // replica → batch parts placed there at submission
 	shed        int64            // submits the fleet rejected: every candidate shed
 	unroutable  int64            // requests with no healthy replica to try
-	failovers   int64            // jobs resubmitted after their replica was lost
+	failovers   int64            // job parts resubmitted after their replica was lost
 	batches     int64            // batch submissions fanned out across the ring
 
 	requestSeconds *httpkit.Histogram // every proxied request, router-observed wall time
@@ -82,21 +82,22 @@ func (m *Metrics) add(field *int64) {
 	m.mu.Unlock()
 }
 
-// Failovers reports how many jobs were resubmitted after replica loss.
+// Failovers reports how many job parts were resubmitted after replica
+// loss.
 func (m *Metrics) Failovers() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.failovers
 }
 
-// Routed reports per-replica landed submits (copy).
+// Routed reports per-replica placements (copy).
 func (m *Metrics) Routed() map[string]int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return maps.Clone(m.routed)
 }
 
-// Spilled reports per-replica submits that landed off-owner (copy).
+// Spilled reports per-replica placements that landed off-owner (copy).
 func (m *Metrics) Spilled() map[string]int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -126,15 +127,15 @@ func (m *Metrics) Render() string {
 	defer m.mu.Unlock()
 	var b strings.Builder
 
-	httpkit.Labeled(&b, "counter", "wideleakfleet_routed_total", "Study submissions landed on each replica.", "replica", m.routed)
-	httpkit.Labeled(&b, "counter", "wideleakfleet_spilled_total", "Submissions that spilled onto this replica instead of the ring owner.", "replica", m.spilled)
+	httpkit.Labeled(&b, "counter", "wideleakfleet_routed_total", "Placements landed on each replica: studies and batch parts, failovers included.", "replica", m.routed)
+	httpkit.Labeled(&b, "counter", "wideleakfleet_spilled_total", "Placements (studies and batch parts) that spilled onto this replica instead of the ring owner.", "replica", m.spilled)
 	httpkit.Labeled(&b, "counter", "wideleakfleet_replica_shed_total", "429 responses observed from each replica.", "replica", m.replicaShed)
 	httpkit.Labeled(&b, "counter", "wideleakfleet_proxy_errors_total", "Transport failures talking to each replica.", "replica", m.proxyErrors)
-	httpkit.Labeled(&b, "counter", "wideleakfleet_batch_parts_total", "Batch partitions (one per distinct world owner) landed on each replica.", "replica", m.batchParts)
+	httpkit.Labeled(&b, "counter", "wideleakfleet_batch_parts_total", "Batch parts (one per distinct world owner) placed on each replica at submission.", "replica", m.batchParts)
 
 	httpkit.Counter(&b, "wideleakfleet_shed_total", "Submissions the fleet rejected because every candidate replica shed.", m.shed)
 	httpkit.Counter(&b, "wideleakfleet_unroutable_total", "Requests with no healthy replica to route to.", m.unroutable)
-	httpkit.Counter(&b, "wideleakfleet_failovers_total", "Jobs resubmitted to a ring successor after their replica was lost.", m.failovers)
+	httpkit.Counter(&b, "wideleakfleet_failovers_total", "Study and batch parts resubmitted to a ring successor after their replica was lost.", m.failovers)
 	httpkit.Counter(&b, "wideleakfleet_batches_total", "Batch submissions fanned out across the ring by world key.", m.batches)
 
 	httpkit.Labeled(&b, "gauge", "wideleakfleet_replica_healthy", "Replica health as seen by the router (1 healthy, 0 not).", "replica", healthy)

@@ -12,9 +12,10 @@
 // the request walks to the next distinct replica on the ring instead of
 // failing. Replica health is tracked actively (periodic /healthz probes)
 // and passively (transport errors while proxying), and a replica lost
-// mid-run is transparently failed over: the router remembers every job's
-// canonical spec and resubmits it to the ring successor — determinism
-// guarantees the rerun's bytes are identical.
+// mid-run is transparently failed over: the router remembers the
+// canonical body of every job part (a study is one part, a batch one
+// part per ring owner) and resubmits it to the ring successor —
+// determinism guarantees the rerun's bytes are identical.
 package fleet
 
 import (
@@ -40,9 +41,6 @@ type ringPoint struct {
 
 // newRing hashes vnodes virtual points per replica onto the ring.
 func newRing(ids []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = 128
-	}
 	r := &ring{ids: ids}
 	for i, id := range ids {
 		for v := 0; v < vnodes; v++ {

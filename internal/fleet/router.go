@@ -21,46 +21,35 @@ import (
 // Fleet-level response headers stamped by the router.
 const (
 	// HeaderReplica names the replica that served (or is running) the
-	// request — the affinity tests assert it.
+	// request — the affinity tests assert it. A batch submission names
+	// the replica of each of its parts, comma-separated, in part order.
 	HeaderReplica = "X-Fleet-Replica"
-	// HeaderRoute is "owner" when the submission landed on its ring
-	// owner, "spill" when it walked to a successor.
+	// HeaderRoute is "owner" when a submission landed on its ring owner,
+	// "spill" when it (or any of a batch's parts) walked to a successor.
 	HeaderRoute = "X-Fleet-Route"
+)
+
+// Ring and health constants.
+const (
+	// vnodes is the virtual-node count per replica on the hash ring.
+	vnodes = 128
+	// loadFactor bounds per-replica load during placement: a part skips
+	// past an owner whose outstanding proxied requests exceed
+	// loadFactor × fleet average + 1.
+	loadFactor = 1.25
+	// healthTimeout bounds one active health probe.
+	healthTimeout = time.Second
 )
 
 // Options tunes the router. Zero values select the defaults.
 type Options struct {
-	// VNodes is the virtual-node count per replica on the hash ring
-	// (default 128).
-	VNodes int
-	// LoadFactor bounds per-replica load during routing: a submission
-	// skips past an owner whose outstanding proxied requests exceed
-	// LoadFactor × fleet average + 1 (default 1.25).
-	LoadFactor float64
 	// HealthInterval is the active /healthz probe period (default 500ms).
 	HealthInterval time.Duration
-	// HealthTimeout bounds one health probe (default 1s).
-	HealthTimeout time.Duration
-	// FailThreshold is how many consecutive failures (active or passive)
-	// flip a replica to unhealthy (default 1: any transport error).
-	FailThreshold int
 }
 
 func (o Options) withDefaults() Options {
-	if o.VNodes <= 0 {
-		o.VNodes = 128
-	}
-	if o.LoadFactor <= 1 {
-		o.LoadFactor = 1.25
-	}
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = 500 * time.Millisecond
-	}
-	if o.HealthTimeout <= 0 {
-		o.HealthTimeout = time.Second
-	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 1
 	}
 	return o
 }
@@ -76,30 +65,64 @@ type replica struct {
 	id   string
 	base string
 
-	healthy     atomic.Bool
-	consecFails atomic.Int64
-	inflight    atomic.Int64 // outstanding proxied requests (the load bound's input)
+	healthy  atomic.Bool
+	inflight atomic.Int64 // outstanding proxied requests (the load bound's input)
 }
 
 func (r *replica) isHealthy() bool { return r.healthy.Load() }
 
-// fleetJob is the router's record of one submitted study: the canonical
-// spec (for failover resubmission) and where it currently lives.
+// fleetJob is the router's record of one submitted job. A study is one
+// part posted to /v1/studies; a batch is split by the ring owner of its
+// specs' worlds into parts posted to /v1/batches. The job table is never
+// pruned, so a study keeps nothing beyond its part: its spec lives in
+// the part's body.
 type fleetJob struct {
-	id       string // fleet-level ID the client holds
-	key      string // canonical RunSpec.Key
+	id    string
+	batch bool
+	specs []wideleak.RunSpec // a batch's canonical specs, in fleet spec order
+	parts []*fleetPart
+}
+
+// fleetPart is one placement of a job: the canonical body it posts (a
+// study spec or a sub-batch), replayed on failover, the fleet spec
+// indexes a batch part runs in its local order, and where it currently
+// lives.
+type fleetPart struct {
 	worldKey string // ring address
-	specBody []byte // canonical spec JSON, replayed on failover
+	body     []byte
+	specIdx  []int // nil for a study
 
 	mu        sync.Mutex // guards replicaID/remoteID across failovers
 	replicaID string
 	remoteID  string
 }
 
-func (j *fleetJob) location() (replicaID, remoteID string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.replicaID, j.remoteID
+func (p *fleetPart) location() (replicaID, remoteID string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.replicaID, p.remoteID
+}
+
+// locate finds the part running fleet spec idx and the spec's index
+// there.
+func (j *fleetJob) locate(idx int) (*fleetPart, int) {
+	for _, part := range j.parts {
+		for local, fi := range part.specIdx {
+			if fi == idx {
+				return part, local
+			}
+		}
+	}
+	return nil, 0
+}
+
+// collection is the API path a job kind lives under, on the router and
+// on every replica alike.
+func collection(batch bool) string {
+	if batch {
+		return "/v1/batches"
+	}
+	return "/v1/studies"
 }
 
 // Router is the fleet front end: it owns the ring, the replica health
@@ -113,11 +136,11 @@ type Router struct {
 	client       *http.Client // proxying (no overall timeout: SSE streams)
 	healthClient *http.Client
 
-	mu       sync.Mutex
-	replicas map[string]*replica
-	jobs     map[string]*fleetJob
-	batches  map[string]*fleetBatch
-	seq      int64
+	replicas map[string]*replica // fixed at construction, read without a lock
+
+	mu   sync.Mutex // guards jobs and seq
+	jobs map[string]*fleetJob
+	seq  int64
 
 	closed chan struct{}
 	wg     sync.WaitGroup
@@ -146,19 +169,26 @@ func NewRouter(members []Member, opts Options) (*Router, error) {
 	}
 	rt := &Router{
 		opts:     opts,
-		ring:     newRing(ids, opts.VNodes),
+		ring:     newRing(ids, vnodes),
 		replicas: replicas,
 		jobs:     make(map[string]*fleetJob),
-		batches:  make(map[string]*fleetBatch),
 		client: &http.Client{Transport: &http.Transport{
 			DialContext:           (&net.Dialer{Timeout: 2 * time.Second}).DialContext,
 			MaxIdleConnsPerHost:   64,
 			ResponseHeaderTimeout: 2 * time.Minute,
 		}},
-		healthClient: &http.Client{Timeout: opts.HealthTimeout},
+		healthClient: &http.Client{Timeout: healthTimeout},
 		closed:       make(chan struct{}),
 	}
-	rt.metrics = newFleetMetrics(rt.healthSnapshot, rt.inflightSnapshot, rt.ring.shares)
+	rt.metrics = newFleetMetrics(
+		rt.perReplica(func(rep *replica) int64 {
+			if rep.isHealthy() {
+				return 1
+			}
+			return 0
+		}),
+		rt.perReplica(func(rep *replica) int64 { return rep.inflight.Load() }),
+		rt.ring.shares)
 	rt.wg.Add(1)
 	go rt.healthLoop()
 	return rt, nil
@@ -187,8 +217,6 @@ func (rt *Router) OwnerOf(worldKey string) string { return rt.ring.owner(worldKe
 
 // HealthyIDs lists the replicas the router currently considers healthy.
 func (rt *Router) HealthyIDs() []string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	var ids []string
 	for id, rep := range rt.replicas {
 		if rep.isHealthy() {
@@ -198,34 +226,15 @@ func (rt *Router) HealthyIDs() []string {
 	return ids
 }
 
-// replica looks a member up by ID (nil when unknown).
-func (rt *Router) replica(id string) *replica {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.replicas[id]
-}
-
-func (rt *Router) healthSnapshot() map[string]int64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make(map[string]int64, len(rt.replicas))
-	for id, rep := range rt.replicas {
-		out[id] = 0
-		if rep.isHealthy() {
-			out[id] = 1
+// perReplica samples one value per replica for a live gauge.
+func (rt *Router) perReplica(value func(*replica) int64) func() map[string]int64 {
+	return func() map[string]int64 {
+		out := make(map[string]int64, len(rt.replicas))
+		for id, rep := range rt.replicas {
+			out[id] = value(rep)
 		}
+		return out
 	}
-	return out
-}
-
-func (rt *Router) inflightSnapshot() map[string]int64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make(map[string]int64, len(rt.replicas))
-	for id, rep := range rt.replicas {
-		out[id] = rep.inflight.Load()
-	}
-	return out
 }
 
 // healthLoop actively probes every replica's /healthz on a fixed period.
@@ -242,14 +251,8 @@ func (rt *Router) healthLoop() {
 			return
 		case <-ticker.C:
 		}
-		rt.mu.Lock()
-		reps := make([]*replica, 0, len(rt.replicas))
-		for _, rep := range rt.replicas {
-			reps = append(reps, rep)
-		}
-		rt.mu.Unlock()
 		var wg sync.WaitGroup
-		for _, rep := range reps {
+		for _, rep := range rt.replicas {
 			wg.Add(1)
 			go func(rep *replica) {
 				defer wg.Done()
@@ -260,30 +263,23 @@ func (rt *Router) healthLoop() {
 	}
 }
 
+// probe runs one active health check. Any failure condemns the replica
+// at once; draining replicas answer 503 and stop getting traffic.
 func (rt *Router) probe(rep *replica) {
 	resp, err := rt.healthClient.Get(rep.base + "/healthz")
 	if err != nil {
-		rt.noteFailure(rep)
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		rt.noteFailure(rep) // draining replicas answer 503 and stop getting traffic
-		return
-	}
-	rt.noteSuccess(rep)
-}
-
-func (rt *Router) noteFailure(rep *replica) {
-	if rep.consecFails.Add(1) >= int64(rt.opts.FailThreshold) {
 		rep.healthy.Store(false)
+		return
 	}
+	drainBody(resp)
+	rep.healthy.Store(resp.StatusCode == http.StatusOK)
 }
 
-func (rt *Router) noteSuccess(rep *replica) {
-	rep.consecFails.Store(0)
-	rep.healthy.Store(true)
+// lost records a transport failure talking to a replica: it is counted
+// and condemned until a health probe or a placement revives it.
+func (rt *Router) lost(rep *replica) {
+	rt.metrics.addProxyError(rep.id)
+	rep.healthy.Store(false)
 }
 
 // Handler returns the fleet HTTP front end. The API mirrors wideleakd's,
@@ -291,12 +287,13 @@ func (rt *Router) noteSuccess(rep *replica) {
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/studies", rt.handleSubmit)
-	mux.HandleFunc("GET /v1/studies", rt.handleList)
-	mux.HandleFunc("GET /v1/studies/{id}", rt.handleJob(""))
-	mux.HandleFunc("DELETE /v1/studies/{id}", rt.handleJob(""))
-	mux.HandleFunc("GET /v1/studies/{id}/table", rt.handleJob("/table"))
-	mux.HandleFunc("GET /v1/studies/{id}/events", rt.handleJob("/events"))
+	mux.HandleFunc("GET /v1/studies", rt.handleList(false))
+	mux.HandleFunc("GET /v1/studies/{id}", rt.handleStudy(""))
+	mux.HandleFunc("DELETE /v1/studies/{id}", rt.handleStudy(""))
+	mux.HandleFunc("GET /v1/studies/{id}/table", rt.handleStudy("/table"))
+	mux.HandleFunc("GET /v1/studies/{id}/events", rt.handleStudy("/events"))
 	mux.HandleFunc("POST /v1/batches", rt.handleBatchSubmit)
+	mux.HandleFunc("GET /v1/batches", rt.handleList(true))
 	mux.HandleFunc("GET /v1/batches/{id}", rt.handleBatchStatus)
 	mux.HandleFunc("DELETE /v1/batches/{id}", rt.handleBatchCancel)
 	mux.HandleFunc("GET /v1/batches/{id}/rows", rt.handleBatchRows)
@@ -317,6 +314,36 @@ func (rt *Router) timed(next http.Handler) http.Handler {
 			rt.metrics.observeSubmit(elapsed)
 		}
 	})
+}
+
+// statusError is a failure the router answers with its own HTTP status.
+type statusError struct {
+	status int
+	msg    string
+}
+
+func (e *statusError) Error() string { return e.msg }
+
+var (
+	errAllShed   = &statusError{http.StatusTooManyRequests, "every replica shed the submission"}
+	errNoReplica = &statusError{http.StatusServiceUnavailable, "no healthy replica"}
+)
+
+// fail answers a routing failure: a statusError with its status, a
+// fleet-wide shed with 429 + Retry-After, anything else with 502.
+func (rt *Router) fail(w http.ResponseWriter, err error) {
+	switch err {
+	case errAllShed:
+		rt.metrics.addShed()
+		w.Header().Set("Retry-After", "1")
+	case errNoReplica:
+		rt.metrics.addUnroutable()
+	}
+	status := http.StatusBadGateway
+	if se, ok := err.(*statusError); ok {
+		status = se.status
+	}
+	httpkit.WriteError(w, status, err.Error())
 }
 
 // fleetSubmitResponse is the router's wire shape for POST /v1/studies —
@@ -352,113 +379,117 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rep, remote, hdr, status, routeErr := rt.submitToReplica(r.Context(), worldKey, body)
-	switch routeErr {
-	case nil:
-	case errAllShed:
-		rt.metrics.addShed()
-		w.Header().Set("Retry-After", "1")
-		httpkit.WriteError(w, http.StatusTooManyRequests, "every replica shed the submission")
+	job := &fleetJob{parts: []*fleetPart{{worldKey: worldKey, body: body}}}
+	placed, ok := rt.submit(w, r, job, key)
+	if !ok {
 		return
-	case errNoReplica:
-		rt.metrics.addUnroutable()
-		httpkit.WriteError(w, http.StatusServiceUnavailable, "no healthy replica")
-		return
-	default:
-		// A non-shed replica response the fleet cannot improve on (e.g. a
-		// 400 the local canonicalization missed); relay it.
-		httpkit.WriteError(w, status, routeErr.Error())
-		return
+	}
+	p := placed[0]
+	copyProvenanceHeaders(w.Header(), p.header)
+	remote := p.remote
+	remote.ID, remote.StatusURL = job.id, "/v1/studies/"+job.id
+	httpkit.WriteJSON(w, p.status, fleetSubmitResponse{SubmitResponse: remote, Replica: p.rep.id})
+}
+
+// placement is where one part landed, with the replica's answer.
+type placement struct {
+	rep    *replica
+	spill  bool // landed off the world key's ring owner
+	remote serve.SubmitResponse
+	header http.Header
+	status int
+}
+
+// submit places every part of a new job on the ring, then registers the
+// job under a fleet ID — f000001-<key prefix> for a study, fb000001 for
+// a batch, from one sequence — and stamps the route headers. A job
+// exists whole or not at all: when a part cannot be placed, the parts
+// already placed are cancelled and the refusal is answered.
+func (rt *Router) submit(w http.ResponseWriter, r *http.Request, job *fleetJob, key string) ([]placement, bool) {
+	placed := make([]placement, 0, len(job.parts))
+	for _, part := range job.parts {
+		p, err := rt.place(r.Context(), job.batch, part)
+		if err != nil {
+			rt.cancelParts(context.Background(), job, job.parts[:len(placed)])
+			rt.fail(w, err)
+			return nil, false
+		}
+		part.replicaID, part.remoteID = p.rep.id, p.remote.ID
+		placed = append(placed, p)
 	}
 
 	rt.mu.Lock()
 	rt.seq++
-	job := &fleetJob{
-		id:        fmt.Sprintf("f%06d-%.8s", rt.seq, key),
-		key:       key,
-		worldKey:  worldKey,
-		specBody:  body,
-		replicaID: rep.id,
-		remoteID:  remote.ID,
+	if job.batch {
+		job.id = fmt.Sprintf("fb%06d", rt.seq)
+	} else {
+		job.id = fmt.Sprintf("f%06d-%.8s", rt.seq, key)
 	}
 	rt.jobs[job.id] = job
 	rt.mu.Unlock()
 
-	owner := rt.ring.owner(worldKey)
+	ids := make([]string, len(placed))
 	route := "owner"
-	if rep.id != owner {
-		route = "spill"
+	for i, p := range placed {
+		ids[i] = p.rep.id
+		if p.spill {
+			route = "spill"
+		}
 	}
-	rt.metrics.addRouted(rep.id, rep.id != owner)
-	copyProvenanceHeaders(w.Header(), hdr)
-	w.Header().Set(HeaderReplica, rep.id)
+	w.Header().Set(HeaderReplica, strings.Join(ids, ","))
 	w.Header().Set(HeaderRoute, route)
-	remote.ID, remote.StatusURL = job.id, "/v1/studies/"+job.id
-	httpkit.WriteJSON(w, status, fleetSubmitResponse{SubmitResponse: remote, Replica: rep.id})
+	return placed, true
 }
 
-var (
-	errAllShed   = fmt.Errorf("fleet: every candidate replica shed")
-	errNoReplica = fmt.Errorf("fleet: no healthy replica")
-)
-
-// submitToReplica routes a canonical spec onto the ring: the world key's
-// owner first, then — on transport failure, 429 shed, or 503 drain —
-// each successor in ring order. Bounded load skips an owner whose
-// outstanding requests exceed LoadFactor × fleet average + 1.
-func (rt *Router) submitToReplica(ctx context.Context, worldKey string, body []byte) (*replica, serve.SubmitResponse, http.Header, int, error) {
-	candidates := rt.submitOrder(worldKey)
-	if len(candidates) == 0 {
-		return nil, serve.SubmitResponse{}, nil, 0, errNoReplica
-	}
+// place puts one part on the ring: its canonical body is posted to the
+// world key's owner first, then — on a transport error, a 429 shed or a
+// 503 drain — to each successor in ring order. It is the one placement
+// path for studies, batch parts and failovers, and counts each landing
+// in wideleakfleet_routed_total (and _spilled_total when off-owner).
+func (rt *Router) place(ctx context.Context, batch bool, part *fleetPart) (placement, error) {
 	sawShed := false
-	for _, rep := range candidates {
-		resp, err := rt.forward(ctx, rep, http.MethodPost, "/v1/studies", bytes.NewReader(body))
+	for _, rep := range rt.submitOrder(part.worldKey) {
+		resp, err := rt.forward(ctx, rep, http.MethodPost, collection(batch), bytes.NewReader(part.body))
 		if err != nil {
-			rt.metrics.addProxyError(rep.id)
-			rt.noteFailure(rep)
+			rt.lost(rep)
 			continue
 		}
-		switch {
-		case resp.StatusCode == http.StatusTooManyRequests:
+		switch resp.StatusCode {
+		case http.StatusTooManyRequests:
 			drainBody(resp)
 			rt.metrics.addReplicaShed(rep.id)
 			sawShed = true
-			continue
-		case resp.StatusCode == http.StatusServiceUnavailable:
+		case http.StatusServiceUnavailable:
 			drainBody(resp)
-			rt.noteFailure(rep) // draining: let the health loop confirm
-			continue
-		case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted:
-			var remote serve.SubmitResponse
-			err := json.NewDecoder(resp.Body).Decode(&remote)
-			hdr := resp.Header
-			status := resp.StatusCode
+			rep.healthy.Store(false) // draining: let the health loop confirm
+		case http.StatusOK, http.StatusAccepted:
+			p := placement{rep: rep, spill: rep.id != rt.ring.owner(part.worldKey), header: resp.Header, status: resp.StatusCode}
+			err := json.NewDecoder(resp.Body).Decode(&p.remote)
 			drainBody(resp)
-			if err != nil || remote.ID == "" {
-				rt.noteFailure(rep)
+			if err != nil || p.remote.ID == "" {
+				rep.healthy.Store(false)
 				continue
 			}
-			rt.noteSuccess(rep)
-			return rep, remote, hdr, status, nil
+			rep.healthy.Store(true)
+			rt.metrics.addRouted(rep.id, p.spill)
+			return p, nil
 		default:
 			// The replica answered coherently but negatively (400, ...).
 			var e struct {
 				Error string `json:"error"`
 			}
 			json.NewDecoder(resp.Body).Decode(&e)
-			status := resp.StatusCode
 			drainBody(resp)
 			if e.Error == "" {
-				e.Error = http.StatusText(status)
+				e.Error = http.StatusText(resp.StatusCode)
 			}
-			return nil, serve.SubmitResponse{}, nil, status, fmt.Errorf("%s", e.Error)
+			return placement{}, &statusError{resp.StatusCode, e.Error}
 		}
 	}
 	if sawShed {
-		return nil, serve.SubmitResponse{}, nil, 0, errAllShed
+		return placement{}, errAllShed
 	}
-	return nil, serve.SubmitResponse{}, nil, 0, errNoReplica
+	return placement{}, errNoReplica
 }
 
 // submitOrder builds the attempt order for a world key: healthy replicas
@@ -468,7 +499,6 @@ func (rt *Router) submitToReplica(ctx context.Context, worldKey string, body []b
 // order — a passive success revives one.
 func (rt *Router) submitOrder(worldKey string) []*replica {
 	seq := rt.ring.sequence(worldKey)
-	rt.mu.Lock()
 	healthy := make([]*replica, 0, len(seq))
 	all := make([]*replica, 0, len(seq))
 	for _, id := range seq {
@@ -478,7 +508,6 @@ func (rt *Router) submitOrder(worldKey string) []*replica {
 			healthy = append(healthy, rep)
 		}
 	}
-	rt.mu.Unlock()
 	if len(healthy) == 0 {
 		return all
 	}
@@ -486,7 +515,7 @@ func (rt *Router) submitOrder(worldKey string) []*replica {
 	for _, rep := range healthy {
 		total += rep.inflight.Load()
 	}
-	limit := int64(rt.opts.LoadFactor*float64(total)/float64(len(healthy))) + 1
+	limit := int64(loadFactor*float64(total)/float64(len(healthy))) + 1
 	start := 0
 	for i, rep := range healthy {
 		if rep.inflight.Load() <= limit {
@@ -497,6 +526,95 @@ func (rt *Router) submitOrder(worldKey string) []*replica {
 	order := make([]*replica, 0, len(healthy))
 	order = append(order, healthy[start:]...)
 	return append(order, healthy[:start]...)
+}
+
+// proxy sends one request to the replica holding a part: method on the
+// part's replica-side job path plus suffix. When that replica is gone —
+// marked unhealthy, or a transport error — the part fails over and the
+// request is retried once on its new replica. It is the one proxy path
+// for every job endpoint. A DELETE never fails over: a cancel must not
+// rerun the job it cancels.
+func (rt *Router) proxy(ctx context.Context, job *fleetJob, part *fleetPart, method, suffix string) (*http.Response, *replica, error) {
+	resubmit := method != http.MethodDelete
+	for attempt := 0; attempt < 2; attempt++ {
+		repID, remoteID := part.location()
+		rep := rt.replicas[repID]
+		if resubmit && !rep.isHealthy() {
+			if err := rt.failover(ctx, job.batch, part); err != nil {
+				return nil, nil, err
+			}
+			continue
+		}
+		resp, err := rt.forward(ctx, rep, method, collection(job.batch)+"/"+remoteID+suffix, nil)
+		if err == nil {
+			return resp, rep, nil
+		}
+		if ctx.Err() != nil {
+			return nil, nil, ctx.Err() // client went away, not replica death
+		}
+		rt.lost(rep)
+		if !resubmit {
+			return nil, nil, &statusError{http.StatusServiceUnavailable, fmt.Sprintf("replica %s lost: %v", rep.id, err)}
+		}
+		if err := rt.failover(ctx, job.batch, part); err != nil {
+			return nil, nil, err
+		}
+	}
+	return nil, nil, &statusError{http.StatusBadGateway, "replica lost and failover did not converge"}
+}
+
+// failover reroutes a part whose replica died: its canonical body is
+// placed again through the ring (the dead replica is unhealthy, so the
+// walk lands on its successor) and the part is remapped. Determinism
+// makes the rerun byte-identical, so the client never notices beyond
+// latency.
+func (rt *Router) failover(ctx context.Context, batch bool, part *fleetPart) error {
+	part.mu.Lock()
+	defer part.mu.Unlock()
+	// Another request may have failed this part over already; if its
+	// current replica is healthy again, just retry against it.
+	if rt.replicas[part.replicaID].isHealthy() {
+		return nil
+	}
+	p, err := rt.place(ctx, batch, part)
+	if err != nil {
+		return &statusError{http.StatusServiceUnavailable, fmt.Sprintf("replica lost and failover failed: %v", err)}
+	}
+	part.replicaID, part.remoteID = p.rep.id, p.remote.ID
+	rt.metrics.addFailover()
+	return nil
+}
+
+// getPart proxies a GET of one part's path plus suffix, failing over as
+// needed, and decodes the replica's 200 JSON answer into v.
+func (rt *Router) getPart(ctx context.Context, job *fleetJob, part *fleetPart, suffix string, v any) error {
+	resp, rep, err := rt.proxy(ctx, job, part, http.MethodGet, suffix)
+	if err != nil {
+		return err
+	}
+	defer drainBody(resp)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("replica %s answered %d", rep.id, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// cancelParts cancels parts where they run, never resubmitting one
+// whose replica is gone. Every part is tried; the first part that could
+// not be reached is reported.
+func (rt *Router) cancelParts(ctx context.Context, job *fleetJob, parts []*fleetPart) error {
+	var first error
+	for _, part := range parts {
+		resp, _, err := rt.proxy(ctx, job, part, http.MethodDelete, "")
+		if err != nil {
+			if first == nil {
+				first = err
+			}
+			continue
+		}
+		drainBody(resp)
+	}
+	return first
 }
 
 // forward performs one proxied request against a replica, accounting
@@ -539,83 +657,42 @@ func drainBody(resp *http.Response) {
 	resp.Body.Close()
 }
 
-// handleJob proxies one fleet job's status/table/events/cancel to the
-// replica currently running it, failing over to a ring successor when
-// that replica is gone.
-func (rt *Router) handleJob(suffix string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rt.mu.Lock()
-		job := rt.jobs[r.PathValue("id")]
-		rt.mu.Unlock()
-		if job == nil {
-			httpkit.WriteError(w, http.StatusNotFound, "no such study")
-			return
-		}
-		// One failover attempt per request: if the job's replica is gone,
-		// resubmit its spec to the ring successor, then proxy there.
-		for attempt := 0; attempt < 2; attempt++ {
-			repID, remoteID := job.location()
-			rep := rt.replica(repID)
-			if rep == nil {
-				httpkit.WriteError(w, http.StatusInternalServerError, "job mapped to unknown replica")
-				return
-			}
-			if !rep.isHealthy() {
-				if !rt.failover(r.Context(), job, w) {
-					return
-				}
-				continue
-			}
-			path := "/v1/studies/" + remoteID + suffix
-			if r.URL.RawQuery != "" {
-				path += "?" + r.URL.RawQuery
-			}
-			resp, err := rt.forward(r.Context(), rep, r.Method, path, nil)
-			if err != nil {
-				if r.Context().Err() != nil {
-					return // client went away, not replica death
-				}
-				rt.metrics.addProxyError(rep.id)
-				rt.noteFailure(rep)
-				if !rt.failover(r.Context(), job, w) {
-					return
-				}
-				continue
-			}
-			if suffix == "" && r.Method == http.MethodGet && resp.StatusCode == http.StatusOK {
-				relayStudyStatus(w, resp, rep.id, job.id)
-			} else {
-				relayResponse(w, resp, rep.id)
-			}
-			return
-		}
-		httpkit.WriteError(w, http.StatusBadGateway, "replica lost and failover did not converge")
+// lookup resolves the {id} path value to a study (batch false) or a
+// batch (batch true), answering 404 when there is none.
+func (rt *Router) lookup(w http.ResponseWriter, r *http.Request, batch bool) *fleetJob {
+	rt.mu.Lock()
+	job := rt.jobs[r.PathValue("id")]
+	rt.mu.Unlock()
+	if job == nil || job.batch != batch {
+		httpkit.WriteError(w, http.StatusNotFound, "no such "+map[bool]string{false: "study", true: "batch"}[batch])
+		return nil
 	}
+	return job
 }
 
-// failover reroutes a job whose replica died: its canonical spec is
-// resubmitted through the ring (the dead replica is unhealthy, so the
-// walk lands on its successor) and the job is remapped. Determinism
-// makes the rerun byte-identical, so the client never notices beyond
-// latency. Reports false after writing an error response.
-func (rt *Router) failover(ctx context.Context, job *fleetJob, w http.ResponseWriter) bool {
-	job.mu.Lock()
-	defer job.mu.Unlock()
-	// Another request may have failed this job over already; if its
-	// current replica is healthy again, just retry against it.
-	if cur := rt.replica(job.replicaID); cur != nil && cur.isHealthy() {
-		return true
+// handleStudy relays a study's status, table, events or cancel to the
+// replica holding its one part.
+func (rt *Router) handleStudy(suffix string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		job := rt.lookup(w, r, false)
+		if job == nil {
+			return
+		}
+		path := suffix
+		if r.URL.RawQuery != "" {
+			path += "?" + r.URL.RawQuery
+		}
+		resp, rep, err := rt.proxy(r.Context(), job, job.parts[0], r.Method, path)
+		if err != nil {
+			rt.fail(w, err)
+			return
+		}
+		if suffix == "" && r.Method == http.MethodGet && resp.StatusCode == http.StatusOK {
+			relayStudyStatus(w, resp, rep.id, job.id)
+		} else {
+			relayResponse(w, resp, rep.id)
+		}
 	}
-	rep, remote, _, _, err := rt.submitToReplica(ctx, job.worldKey, job.specBody)
-	if err != nil {
-		httpkit.WriteError(w, http.StatusServiceUnavailable, fmt.Sprintf("replica lost and failover failed: %v", err))
-		return false
-	}
-	job.replicaID = rep.id
-	job.remoteID = remote.ID
-	rt.metrics.addFailover()
-	rt.metrics.addRouted(rep.id, rep.id != rt.ring.owner(job.worldKey))
-	return true
 }
 
 // relayResponse copies a replica response to the client, flushing
@@ -693,40 +770,50 @@ func copyProvenanceHeaders(dst, src http.Header) {
 	}
 }
 
-// replicaStudies is one replica's slice of the fleet-wide listing.
-type replicaStudies struct {
+// replicaListing is one replica's slice of the fleet-wide listing of
+// studies or batches.
+type replicaListing struct {
 	Replica string          `json:"replica"`
 	Error   string          `json:"error,omitempty"`
 	Studies json.RawMessage `json:"studies,omitempty"`
+	Batches json.RawMessage `json:"batches,omitempty"`
 }
 
-func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	out := make([]replicaStudies, 0, len(rt.ring.ids))
-	for _, id := range rt.ring.ids {
-		rep := rt.replica(id)
-		entry := replicaStudies{Replica: rep.id}
-		if !rep.isHealthy() {
-			entry.Error = "unhealthy"
-			out = append(out, entry)
-			continue
+// handleList gathers every replica's listing of studies (or batches),
+// in ring member order.
+func (rt *Router) handleList(batch bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		out := make([]replicaListing, 0, len(rt.ring.ids))
+		for _, id := range rt.ring.ids {
+			out = append(out, rt.listing(r.Context(), rt.replicas[id], batch))
 		}
-		resp, err := rt.forward(r.Context(), rep, http.MethodGet, "/v1/studies", nil)
-		if err != nil {
-			rt.noteFailure(rep)
-			entry.Error = err.Error()
-			out = append(out, entry)
-			continue
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			entry.Error = fmt.Sprintf("status %d", resp.StatusCode)
-		} else {
-			entry.Studies = raw
-		}
-		out = append(out, entry)
+		httpkit.WriteJSON(w, http.StatusOK, out)
 	}
-	httpkit.WriteJSON(w, http.StatusOK, out)
+}
+
+func (rt *Router) listing(ctx context.Context, rep *replica, batch bool) replicaListing {
+	entry := replicaListing{Replica: rep.id}
+	if !rep.isHealthy() {
+		entry.Error = "unhealthy"
+		return entry
+	}
+	resp, err := rt.forward(ctx, rep, http.MethodGet, collection(batch), nil)
+	if err != nil {
+		rt.lost(rep)
+		entry.Error = err.Error()
+		return entry
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	switch {
+	case err != nil || resp.StatusCode != http.StatusOK:
+		entry.Error = fmt.Sprintf("status %d", resp.StatusCode)
+	case batch:
+		entry.Batches = raw
+	default:
+		entry.Studies = raw
+	}
+	return entry
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -735,9 +822,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	healthy := len(rt.HealthyIDs())
-	rt.mu.Lock()
-	total := len(rt.replicas)
-	rt.mu.Unlock()
 	status := http.StatusOK
 	if healthy == 0 {
 		status = http.StatusServiceUnavailable
@@ -745,6 +829,6 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	httpkit.WriteJSON(w, status, map[string]any{
 		"status":   map[bool]string{true: "ok", false: "no healthy replica"}[healthy > 0],
 		"healthy":  healthy,
-		"replicas": total,
+		"replicas": len(rt.replicas),
 	})
 }

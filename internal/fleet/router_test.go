@@ -20,7 +20,12 @@ import (
 // and tears it down with the test.
 func startFleet(t *testing.T, n int, cfg serve.Config) *Local {
 	t.Helper()
-	f, err := StartLocal(n, cfg, Options{HealthInterval: 100 * time.Millisecond, HealthTimeout: time.Second})
+	return startFleetOpts(t, n, cfg, Options{HealthInterval: 100 * time.Millisecond})
+}
+
+func startFleetOpts(t *testing.T, n int, cfg serve.Config, opts Options) *Local {
+	t.Helper()
+	f, err := StartLocal(n, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,76 +295,235 @@ func TestRouter_CacheAffinity(t *testing.T) {
 	}
 }
 
-// TestRouter_FailoverMidRun is the chaos acceptance test: the default
-// study is submitted through the router, its owner replica is killed
-// mid-run, and the request must spill to the ring successor and still
-// return a byte-identical Table I. The dead replica flips unhealthy and
-// receives no further traffic.
+// TestRouter_FailoverMidRun is the chaos acceptance test, for a study
+// and for a batch: the default study (alone, or as spec 0 of a batch
+// with a second spec on another replica's world) is submitted through
+// the router, its owner replica is killed mid-run, and the job must
+// fail over to the ring successor and still return a byte-identical
+// Table I. The dead replica flips unhealthy and receives no further
+// traffic.
 func TestRouter_FailoverMidRun(t *testing.T) {
-	f := startFleet(t, 3, serve.Config{Workers: 1})
-	base := f.URL
+	for _, kind := range []string{"study", "batch"} {
+		t.Run(kind, func(t *testing.T) {
+			f := startFleet(t, 3, serve.Config{Workers: 1})
+			base := f.URL
 
-	wk := worldKeyOf(t, wideleak.RunSpec{})
-	seq := f.Router.Sequence(wk)
-	owner, successor := seq[0], seq[1]
+			wk := worldKeyOf(t, wideleak.RunSpec{})
+			seq := f.Router.Sequence(wk)
+			owner, successor := seq[0], seq[1]
 
-	sub, hdr := fleetSubmit(t, base, `{}`, http.StatusAccepted)
-	if got := hdr.Get(HeaderReplica); got != owner {
-		t.Fatalf("default study landed on %s, ring owner is %s", got, owner)
+			// state reads the default spec's run; where waits for the job
+			// to finish and names the replica that ran it.
+			var id, landed string
+			var state, where func() string
+			var other wideleak.RunSpec
+			if kind == "study" {
+				sub, hdr := fleetSubmit(t, base, `{}`, http.StatusAccepted)
+				id, landed = sub.ID, hdr.Get(HeaderReplica)
+				state = func() string { st, _ := getFleetStatus(t, base, id); return st.State }
+				where = func() string { _, hdr := waitFleetDone(t, base, id, 300*time.Second); return hdr.Get(HeaderReplica) }
+			} else {
+				other = wideleak.RunSpec{Seed: seedOwnedElsewhere(t, f.Router, "failover-b", owner), Profiles: []string{"Showtime"}, Probes: []string{"q2"}}
+				id, _, _ = fleetSubmitBatch(t, base, []wideleak.RunSpec{{}, other}, http.StatusAccepted)
+				landed = getFleetBatchStatus(t, base, id).Parts[0].Replica
+				state = func() string { return string(getFleetBatchStatus(t, base, id).Parts[0].State) }
+				where = func() string { return waitFleetBatchDone(t, base, id, 300*time.Second).Parts[0].Replica }
+			}
+			if landed != owner {
+				t.Fatalf("default study landed on %s, ring owner is %s", landed, owner)
+			}
+
+			// Wait for the study to actually start, then crash its replica.
+			deadline := time.Now().Add(120 * time.Second)
+			for {
+				st := state()
+				if st == "running" {
+					break
+				}
+				if st == "done" {
+					t.Fatal("study finished before the kill — cannot exercise mid-run failover")
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("study never started running")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			f.Replica(owner).Kill()
+
+			if got := where(); got != successor {
+				t.Errorf("failed-over study served by %s, want ring successor %s", got, successor)
+			}
+
+			tables := map[string][]byte{}
+			if kind == "study" {
+				tables["txt"] = fetchFleetTable(t, base, id, "txt")
+			} else {
+				tables["txt"] = fetchFleetBatchTable(t, base, id, 0, "txt")
+				tables["json"] = fetchFleetBatchTable(t, base, id, 0, "json")
+				if !bytes.Equal(fetchFleetBatchTable(t, base, id, 1, "json"), freshTableJSON(t, other)) {
+					t.Errorf("spec 1 table differs from a fresh run")
+				}
+			}
+			for format, got := range tables {
+				want, err := os.ReadFile(filepath.Join("..", "wideleak", "testdata", "tableI_default."+format))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("failed-over %s table diverges from golden (%d bytes vs %d)", format, len(got), len(want))
+				}
+			}
+			if n := f.Router.Metrics().Failovers(); n < 1 {
+				t.Errorf("failovers_total = %d, want >= 1", n)
+			}
+
+			// The dead replica is unhealthy and stops receiving traffic.
+			for _, id := range f.Router.HealthyIDs() {
+				if id == owner {
+					t.Fatalf("killed replica %s still marked healthy", owner)
+				}
+			}
+			for i := 0; i < 6; i++ {
+				_, hdr := fleetSubmit(t, base,
+					fmt.Sprintf(`{"seed": "failover-traffic-%d", "profiles": ["Showtime"], "probes": ["q2"]}`, i),
+					http.StatusAccepted)
+				if got := hdr.Get(HeaderReplica); got == owner {
+					t.Errorf("dead replica %s still receiving traffic", owner)
+				}
+			}
+			routed := f.Router.Metrics().Routed()
+			if routed[owner] != 1 {
+				t.Errorf("routed_total{%s} = %d, want 1 (only the pre-kill submit)", owner, routed[owner])
+			}
+		})
 	}
+}
 
-	// Wait for the study to actually start, then crash its replica.
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		st, _ := getFleetStatus(t, base, sub.ID)
-		if st.State == "running" {
-			break
+// TestRouter_SubmitDeadOrDrainingOwner: a study or a batch submitted
+// while its world's owner is dead (connection refused) or draining
+// (answers 503) — before the health loop has noticed either — spills to
+// the ring successor and is accepted there.
+func TestRouter_SubmitDeadOrDrainingOwner(t *testing.T) {
+	for _, kind := range []string{"study", "batch"} {
+		for _, fault := range []string{"killed", "draining"} {
+			t.Run(kind+"/"+fault, func(t *testing.T) {
+				f := startFleetOpts(t, 2, serve.Config{Workers: 1}, Options{HealthInterval: time.Hour})
+				spec := wideleak.RunSpec{Seed: "dead-owner-" + kind + "-" + fault, Profiles: []string{"Showtime"}, Probes: []string{"q2"}}
+				seq := f.Router.Sequence(worldKeyOf(t, spec))
+				owner, successor := seq[0], seq[1]
+				if fault == "killed" {
+					f.Replica(owner).Kill()
+				} else if err := f.Replica(owner).Server().Shutdown(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+
+				var hdr http.Header
+				if kind == "study" {
+					body, err := json.Marshal(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, hdr = fleetSubmit(t, f.URL, string(body), http.StatusAccepted)
+				} else {
+					_, _, hdr = fleetSubmitBatch(t, f.URL, []wideleak.RunSpec{spec}, http.StatusAccepted)
+				}
+				if got := hdr.Get(HeaderReplica); got != successor {
+					t.Errorf("%s landed on %s, want ring successor %s", kind, got, successor)
+				}
+				if got := hdr.Get(HeaderRoute); got != "spill" {
+					t.Errorf("%s route = %q, want spill", kind, got)
+				}
+			})
 		}
-		if st.State == "done" {
-			t.Fatal("study finished before the kill — cannot exercise mid-run failover")
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("study never started running")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	f.Replica(owner).Kill()
+}
 
-	st, hdr := waitFleetDone(t, base, sub.ID, 300*time.Second)
-	if got := hdr.Get(HeaderReplica); got != successor {
-		t.Errorf("failed-over study served by %s, want ring successor %s", got, successor)
+// TestRouter_CancelNeverResubmits: a DELETE of a study or batch whose
+// replica died reports the lost replica and reruns nothing — a cancel
+// must not resubmit the job it is cancelling.
+func TestRouter_CancelNeverResubmits(t *testing.T) {
+	for _, kind := range []string{"study", "batch"} {
+		t.Run(kind, func(t *testing.T) {
+			f := startFleetOpts(t, 2, serve.Config{Workers: 1}, Options{HealthInterval: time.Hour})
+			spec := wideleak.RunSpec{Seed: "cancel-dead-" + kind, Profiles: []string{"Showtime"}, Probes: []string{"q2"}}
+			owner := f.Router.OwnerOf(worldKeyOf(t, spec))
+
+			path := ""
+			if kind == "study" {
+				body, err := json.Marshal(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sub, _ := fleetSubmit(t, f.URL, string(body), http.StatusAccepted)
+				path = "/v1/studies/" + sub.ID
+			} else {
+				id, _, _ := fleetSubmitBatch(t, f.URL, []wideleak.RunSpec{spec}, http.StatusAccepted)
+				path = "/v1/batches/" + id
+			}
+			f.Replica(owner).Kill()
+
+			req, err := http.NewRequest(http.MethodDelete, f.URL+path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			buf.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Errorf("DELETE %s on a dead replica = %d, want 503 (body: %s)", kind, resp.StatusCode, buf.String())
+			}
+			if n := f.Router.Metrics().Failovers(); n != 0 {
+				t.Errorf("failovers_total = %d after a cancel, want 0", n)
+			}
+		})
 	}
-	_ = st
+}
 
-	got := fetchFleetTable(t, base, sub.ID, "txt")
-	want, err := os.ReadFile(filepath.Join("..", "wideleak", "testdata", "tableI_default.txt"))
+// TestRouter_ListBatches: GET /v1/batches through the router lists every
+// replica's batches, as GET /v1/studies lists their studies.
+func TestRouter_ListBatches(t *testing.T) {
+	f := startFleet(t, 2, serve.Config{Workers: 1})
+	spec := wideleak.RunSpec{Seed: "list-batches", Profiles: []string{"Showtime"}, Probes: []string{"q2"}}
+	owner := f.Router.OwnerOf(worldKeyOf(t, spec))
+	id, _, _ := fleetSubmitBatch(t, f.URL, []wideleak.RunSpec{spec}, http.StatusAccepted)
+	part := getFleetBatchStatus(t, f.URL, id).Parts[0]
+
+	resp, err := http.Get(f.URL + "/v1/batches")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("failed-over table diverges from golden (%d bytes vs %d)", len(got), len(want))
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/batches through the router = %d, want 200", resp.StatusCode)
 	}
-	if n := f.Router.Metrics().Failovers(); n < 1 {
-		t.Errorf("failovers_total = %d, want >= 1", n)
+	var listing []struct {
+		Replica string `json:"replica"`
+		Error   string `json:"error"`
+		Batches []struct {
+			ID string `json:"id"`
+		} `json:"batches"`
 	}
-
-	// The dead replica is unhealthy and stops receiving traffic.
-	for _, id := range f.Router.HealthyIDs() {
-		if id == owner {
-			t.Fatalf("killed replica %s still marked healthy", owner)
+	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil {
+		t.Fatal(err)
+	}
+	if len(listing) != 2 {
+		t.Fatalf("listing covers %d replicas, want 2", len(listing))
+	}
+	for _, entry := range listing {
+		want := 0
+		if entry.Replica == owner {
+			want = 1
 		}
-	}
-	for i := 0; i < 6; i++ {
-		_, hdr := fleetSubmit(t, base,
-			fmt.Sprintf(`{"seed": "failover-traffic-%d", "profiles": ["Showtime"], "probes": ["q2"]}`, i),
-			http.StatusAccepted)
-		if got := hdr.Get(HeaderReplica); got == owner {
-			t.Errorf("dead replica %s still receiving traffic", owner)
+		if entry.Error != "" || len(entry.Batches) != want {
+			t.Errorf("replica %s lists %d batches (error %q), want %d", entry.Replica, len(entry.Batches), entry.Error, want)
 		}
-	}
-	routed := f.Router.Metrics().Routed()
-	if routed[owner] != 1 {
-		t.Errorf("routed_total{%s} = %d, want 1 (only the pre-kill submit)", owner, routed[owner])
+		if want == 1 && entry.Batches[0].ID != part.BatchID {
+			t.Errorf("replica %s lists batch %s, want the part's %s", entry.Replica, entry.Batches[0].ID, part.BatchID)
+		}
 	}
 }
 

@@ -58,9 +58,11 @@ bench-guard:
 # fuzz runs the native fuzz targets over the parsers that consume
 # attacker-controlled bytes, the TEE world-boundary frame decoder among
 # them, the RSA keygen small-prime filter against its big.Int
-# reference, and FuzzRunSpec (RunSpec decode + Canonicalize: idempotent
+# reference, FuzzRunSpec (RunSpec decode + Canonicalize: idempotent
 # canonical bytes, stable Key and WorldKey — what fleet failover
-# replays), each for FUZZTIME (go permits one -fuzz pattern per
+# replays) and FuzzBackend (an OTT deployment's license and provisioning
+# handlers, the surface forged E7 requests hit: no panic, only
+# 200/400/403/404), each for FUZZTIME (go permits one -fuzz pattern per
 # invocation, hence one run per target).
 fuzz:
 	$(GO) test ./internal/dash -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
@@ -71,6 +73,7 @@ fuzz:
 	$(GO) test ./internal/oemcrypto -run '^$$' -fuzz '^FuzzTrustletFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wvcrypto -run '^$$' -fuzz '^FuzzSmallFactor$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wideleak -run '^$$' -fuzz '^FuzzRunSpec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ott -run '^$$' -fuzz '^FuzzBackend$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the fault-injection suite under the race detector: for the
 # five fixed seeds, Table I under transient faults must render

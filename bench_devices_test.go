@@ -71,10 +71,10 @@ func devicesSpecs() []RunSpec {
 }
 
 // devicesServer is BenchmarkMatrixDevices' daemon with the per-seed key
-// pools and world snapshots warmed through one untimed batch, once per
-// test binary, so neither timed path pays RSA minting or cold world
-// builds: the cell and result tiers are pinned to one entry, so nothing
-// else carries over and both paths start from the same warm fixture tier.
+// pools warmed through one untimed batch, once per test binary, so
+// neither timed path pays RSA minting: the cell and result tiers are
+// pinned to one entry, so nothing else carries over and both paths start
+// from the same warm key pools.
 var devicesServer = shared(func(b *testing.B) *serve.Server {
 	srv := serve.New(serve.Config{Workers: 2, QueueSize: 64, CacheSize: 1, CellCacheSize: 1})
 	ts := httptest.NewServer(srv.Handler())

@@ -16,9 +16,9 @@ package wideleak
 // set), and the Batch/Sequential delta isolates the planner's
 // intra-batch sharing. The cross-request memoization tier is measured
 // separately (TestServer_CellRecombination, wideleakd_jobs_cell_*
-// metrics). Key pools and world snapshots are prewarmed outside timing
-// for every seed, so neither path pays RSA minting (pinned: zero keys
-// minted) or world builds.
+// metrics). Key pools are prewarmed outside timing for every seed, so
+// neither path pays RSA minting (pinned: zero keys minted); each request
+// builds its worlds, which is cheap once the keys are resident.
 
 import (
 	"bytes"
@@ -108,8 +108,8 @@ const matrixSeeds = 8
 func matrixSeed(i int) string { return fmt.Sprintf("bench-matrix-%d", i) }
 
 // matrixServer is BenchmarkMatrix's daemon with the keys of the four
-// benchmarked apps and every seed's world snapshot prewarmed, once per
-// test binary.
+// benchmarked apps prewarmed into every seed's key pool, once per test
+// binary.
 var matrixServer = shared(func(b *testing.B) *serve.Server {
 	srv := serve.New(serve.Config{Workers: 2, QueueSize: 64, CacheSize: 1, CellCacheSize: 1})
 	keys := len(DeviceStableIDs(Profiles()[:4]))

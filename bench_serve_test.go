@@ -122,15 +122,14 @@ func BenchmarkServer_Throughput(b *testing.B) {
 	})
 }
 
-// BenchmarkServer_ColdWithWorldCache measures the tier-2 path the
-// cold-start work attacks: every iteration is a tier-1 MISS (the result
-// and cell tiers hold one entry, and consecutive requests differ in app
-// and probe subset) over a prewarmed seed, so the study runs for real
-// but its world restores from the banked snapshot and its keys come from
-// the boot-warmed pool. Compare against Throughput/Cold — same full
-// submit→run→fetch round trip, minus world build and RSA minting. The
-// shapes repeat with period 10, so any 10 consecutive iterations cost
-// the same.
+// BenchmarkServer_ColdWithWorldCache measures the warm path below the
+// result cache: every iteration is a tier-1 MISS (the result and cell
+// tiers hold one entry, and consecutive requests differ in app and probe
+// subset) over a prewarmed seed, so the study runs for real on a freshly
+// built world whose device keys all come from the boot-warmed key pool.
+// Compare against Throughput/Cold — same full submit→run→fetch round
+// trip, minus RSA minting. The shapes repeat with period 10, so any 10
+// consecutive iterations cost the same.
 func BenchmarkServer_ColdWithWorldCache(b *testing.B) {
 	srv := worldCacheServer(b)
 	ts := httptest.NewServer(srv.Handler())
@@ -150,13 +149,12 @@ func BenchmarkServer_ColdWithWorldCache(b *testing.B) {
 		benchServeRoundTrip(b, ts, spec)
 	}
 	if minted := srv.Metrics().RSAMinted(); minted != 0 {
-		b.Fatalf("world-cache path minted %d keys, want 0", minted)
+		b.Fatalf("key-pool path minted %d keys, want 0", minted)
 	}
 }
 
 // worldCacheServer is BenchmarkServer_ColdWithWorldCache's daemon after
-// its boot-time warm-up, outside timing: every device key for the seed,
-// plus the banked world snapshot.
+// its boot-time warm-up, outside timing: every device key for the seed.
 var worldCacheServer = shared(func(b *testing.B) *serve.Server {
 	srv := serve.New(serve.Config{Workers: 4, QueueSize: 64, CacheSize: 1, CellCacheSize: 1})
 	if _, err := srv.Prewarm(context.Background(), "bench-worldcache", 0, 4); err != nil {

@@ -63,7 +63,8 @@ var suite = []row{
 	// keybox scan.
 	{`^BenchmarkTableI_Q3_KeyUsage$|^BenchmarkServer_Throughput$/^Warm$`, "1000x", 5, "ns/op"},
 	{`^BenchmarkE5_KeyboxRecovery$`, "100000x", 5, "ns/op"},
-	// Served tier-2 hits: three full periods of 10 request shapes per run.
+	// Served tier-1 misses on a prewarmed key pool: three full periods of
+	// 10 request shapes per run.
 	{`^BenchmarkServer_ColdWithWorldCache$`, "30x", 3, "ns/op"},
 	// Cold worlds: every op mints its own 2048-bit device keys.
 	{`^BenchmarkTableI_Full_Parallel(1|4|N)$|^BenchmarkServer_Throughput$/^Cold$`, "1x", 3, "ns/op"},

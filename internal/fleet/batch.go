@@ -20,7 +20,7 @@ import (
 // Batch fan-out: the router accepts the same POST /v1/batches the
 // daemon does and splits the specs by the ring owner of their worlds
 // into parts (each spec runs on the replica owning its world, where that
-// world's cells, snapshot and key pool are warm). Each part is a
+// world's cells and its seed's key pool are warm). Each part is a
 // sub-batch placed, proxied and failed over exactly as a study is; the
 // router merges status, rows and tables back under fleet-level spec
 // indexes. Routed this way, a fleet-wide batch gets the same cell

@@ -4,8 +4,8 @@
 // onto a virtual-node hash ring, so every request for one world lands on
 // the same replica and turns N replicas into N independent warm cache
 // sets: identical requests are tier-1 hits, probe-subset variants of a
-// warmed seed are tier-2 world-snapshot hits, and no cache entry is
-// duplicated across the fleet.
+// warmed world reuse its memoized cells and its seed's key pool, and no
+// cache entry is duplicated across the fleet.
 //
 // Routing is bounded-load consistent hashing with spill-on-failure: when
 // the ring owner is unhealthy, over its load bound, or sheds with 429,

@@ -92,9 +92,10 @@ type fleetPart struct {
 	body     []byte
 	specIdx  []int // nil for a study
 
-	mu        sync.Mutex // guards replicaID/remoteID across failovers
+	mu        sync.Mutex // guards replicaID/remoteID/cancelled across failovers
 	replicaID string
 	remoteID  string
+	cancelled bool // a DELETE took effect or could not reach the replica; never rerun
 }
 
 func (p *fleetPart) location() (replicaID, remoteID string) {
@@ -533,7 +534,8 @@ func (rt *Router) submitOrder(worldKey string) []*replica {
 // marked unhealthy, or a transport error — the part fails over and the
 // request is retried once on its new replica. It is the one proxy path
 // for every job endpoint. A DELETE never fails over: a cancel must not
-// rerun the job it cancels.
+// rerun the job it cancels. It marks the part cancelled when it took
+// effect (202) or could not be delivered, so no later request reruns it.
 func (rt *Router) proxy(ctx context.Context, job *fleetJob, part *fleetPart, method, suffix string) (*http.Response, *replica, error) {
 	resubmit := method != http.MethodDelete
 	for attempt := 0; attempt < 2; attempt++ {
@@ -546,6 +548,11 @@ func (rt *Router) proxy(ctx context.Context, job *fleetJob, part *fleetPart, met
 			continue
 		}
 		resp, err := rt.forward(ctx, rep, method, collection(job.batch)+"/"+remoteID+suffix, nil)
+		if !resubmit && (err != nil || resp.StatusCode == http.StatusAccepted) {
+			part.mu.Lock()
+			part.cancelled = true
+			part.mu.Unlock()
+		}
 		if err == nil {
 			return resp, rep, nil
 		}
@@ -567,7 +574,7 @@ func (rt *Router) proxy(ctx context.Context, job *fleetJob, part *fleetPart, met
 // placed again through the ring (the dead replica is unhealthy, so the
 // walk lands on its successor) and the part is remapped. Determinism
 // makes the rerun byte-identical, so the client never notices beyond
-// latency.
+// latency. A cancelled part is never rerun: it answers 503.
 func (rt *Router) failover(ctx context.Context, batch bool, part *fleetPart) error {
 	part.mu.Lock()
 	defer part.mu.Unlock()
@@ -575,6 +582,9 @@ func (rt *Router) failover(ctx context.Context, batch bool, part *fleetPart) err
 	// current replica is healthy again, just retry against it.
 	if rt.replicas[part.replicaID].isHealthy() {
 		return nil
+	}
+	if part.cancelled {
+		return &statusError{http.StatusServiceUnavailable, fmt.Sprintf("replica %s lost; the part was cancelled, so it is not resubmitted", part.replicaID)}
 	}
 	p, err := rt.place(ctx, batch, part)
 	if err != nil {

@@ -214,9 +214,9 @@ func TestRouter_SpillOn429(t *testing.T) {
 
 // TestRouter_CacheAffinity pins the fleet's reason to exist: identical
 // requests land on the same replica and hit its tier-1 result cache, and
-// a probe-subset variant of the same seed lands there too and hits its
-// tier-2 world cache — attributed through the provenance headers and the
-// replica's own /metrics.
+// a probe-subset variant of the same seed lands there too and reuses its
+// memoized cells and its seed's key pool — attributed through the
+// provenance headers and the replica's own /metrics.
 func TestRouter_CacheAffinity(t *testing.T) {
 	f := startFleet(t, 3, serve.Config{})
 	base := f.URL
@@ -229,7 +229,8 @@ func TestRouter_CacheAffinity(t *testing.T) {
 		t.Fatalf("owner %s is not a spawned replica", owner)
 	}
 
-	// Cold run: a tier-1 and tier-2 miss on the owner.
+	// Cold run: a tier-1 miss on the owner that builds its world and
+	// mints its keys.
 	first, hdr := fleetSubmit(t, base, spec, http.StatusAccepted)
 	if got := hdr.Get(HeaderReplica); got != owner {
 		t.Fatalf("cold submit landed on %s, ring owner is %s", got, owner)
@@ -244,8 +245,9 @@ func TestRouter_CacheAffinity(t *testing.T) {
 	if got := hdr.Get(serve.HeaderWorldCache); got != "miss" {
 		t.Errorf("cold run %s = %q, want miss", serve.HeaderWorldCache, got)
 	}
-	if got := scrape(t, ownerRep.URL+"/metrics", "wideleakd_world_cache_misses_total"); got != "1" {
-		t.Errorf("owner world_cache_misses = %q, want 1", got)
+	coldMints := scrape(t, ownerRep.URL+"/metrics", "wideleakd_rsa_keys_minted_total")
+	if coldMints == "" || coldMints == "0" {
+		t.Fatalf("owner rsa_keys_minted = %q after the cold run, want > 0", coldMints)
 	}
 
 	// Identical request: tier-1 hit on the same replica, zero new work.
@@ -264,24 +266,27 @@ func TestRouter_CacheAffinity(t *testing.T) {
 	}
 
 	// Probe-subset variant: same world key, new result key → same
-	// replica, tier-1 miss, tier-2 world-cache hit.
+	// replica, tier-1 miss, memoized cells reused and no key minted.
 	variant := `{"seed": "affinity", "profiles": ["Showtime"], "probes": ["q3"]}`
 	third, hdr := fleetSubmit(t, base, variant, http.StatusAccepted)
 	if got := hdr.Get(HeaderReplica); got != owner {
-		t.Errorf("variant landed on %s, want %s (tier-2 affinity broken)", got, owner)
+		t.Errorf("variant landed on %s, want %s (world affinity broken)", got, owner)
 	}
 	if got := hdr.Get(serve.HeaderCacheTier); got != "miss" {
 		t.Errorf("variant submit %s = %q, want miss", serve.HeaderCacheTier, got)
 	}
 	st, hdr = waitFleetDone(t, base, third.ID, 120*time.Second)
-	if st.WorldCache != "hit" {
-		t.Errorf("variant world_cache = %q, want hit", st.WorldCache)
+	if st.WorldCache != "miss" {
+		t.Errorf("variant world_cache = %q, want miss (q3 cells were never run)", st.WorldCache)
 	}
-	if got := hdr.Get(serve.HeaderWorldCache); got != "hit" {
-		t.Errorf("variant %s = %q, want hit", serve.HeaderWorldCache, got)
+	if got := hdr.Get(serve.HeaderWorldCache); got != "miss" {
+		t.Errorf("variant %s = %q, want miss", serve.HeaderWorldCache, got)
 	}
-	if got := scrape(t, ownerRep.URL+"/metrics", "wideleakd_world_cache_hits_total"); got != "1" {
-		t.Errorf("owner world_cache_hits = %q, want 1", got)
+	if got := scrape(t, ownerRep.URL+"/metrics", "wideleakd_rsa_keys_minted_total"); got != coldMints {
+		t.Errorf("owner rsa_keys_minted = %q after the variant, want %q (0 new mints)", got, coldMints)
+	}
+	if got := scrape(t, ownerRep.URL+"/metrics", "wideleakd_cells_cached_total"); got == "" || got == "0" {
+		t.Errorf("owner cells_cached = %q after the variant, want > 0", got)
 	}
 
 	// The other replicas saw none of it.
@@ -440,7 +445,8 @@ func TestRouter_SubmitDeadOrDrainingOwner(t *testing.T) {
 
 // TestRouter_CancelNeverResubmits: a DELETE of a study or batch whose
 // replica died reports the lost replica and reruns nothing — a cancel
-// must not resubmit the job it is cancelling.
+// must not resubmit the job it is cancelling, and neither may a later
+// read of the cancelled job.
 func TestRouter_CancelNeverResubmits(t *testing.T) {
 	for _, kind := range []string{"study", "batch"} {
 		t.Run(kind, func(t *testing.T) {
@@ -478,6 +484,33 @@ func TestRouter_CancelNeverResubmits(t *testing.T) {
 			}
 			if n := f.Router.Metrics().Failovers(); n != 0 {
 				t.Errorf("failovers_total = %d after a cancel, want 0", n)
+			}
+
+			get, err := http.Get(f.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drainBody(get)
+			if n := f.Router.Metrics().Failovers(); n != 0 {
+				t.Errorf("failovers_total = %d after a GET of the cancelled %s, want 0", n, kind)
+			}
+			for _, rep := range f.Replicas {
+				if rep.ID == owner {
+					continue
+				}
+				var listed []json.RawMessage
+				resp, err := http.Get(rep.URL + "/v1/" + map[string]string{"study": "studies", "batch": "batches"}[kind])
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = json.NewDecoder(resp.Body).Decode(&listed)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(listed) != 0 {
+					t.Errorf("replica %s holds %d %s jobs after the cancel, want 0 (the cancelled %s was rerun)", rep.ID, len(listed), kind, kind)
+				}
 			}
 		})
 	}

@@ -18,7 +18,7 @@ type testWorld struct {
 	dep      *Deployment
 }
 
-func newTestWorld(t *testing.T, profile Profile) *testWorld {
+func newTestWorld(t testing.TB, profile Profile) *testWorld {
 	t.Helper()
 	rand := wvcrypto.NewDeterministicReader("ott-test-" + profile.Name)
 	network := netsim.NewNetwork()
@@ -35,7 +35,7 @@ func newTestWorld(t *testing.T, profile Profile) *testWorld {
 	}
 }
 
-func profileByName(t *testing.T, name string) Profile {
+func profileByName(t testing.TB, name string) Profile {
 	t.Helper()
 	for _, p := range Profiles() {
 		if p.Name == name {

@@ -6,10 +6,9 @@ import (
 )
 
 // lruCache is a bounded string-keyed LRU — the shared mechanism behind
-// the server's cache tiers: tier 1 (canonical request key → encoded job
-// result), tier 2 (world key → world snapshot) and the per-seed key
-// pools. When the cap is exceeded, the least recently used entry is
-// dropped.
+// the server's tier-1 result cache (canonical request key → encoded job
+// result) and its per-seed key-pool index. When the cap is exceeded, the
+// least recently used entry is dropped.
 type lruCache[V any] struct {
 	mu      sync.Mutex
 	cap     int

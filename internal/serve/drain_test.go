@@ -91,10 +91,10 @@ func TestServer_DrainUnderLoad(t *testing.T) {
 }
 
 // TestServer_PrewarmConcurrent: racing Prewarm calls for one seed must
-// all succeed with the same resident count, leave exactly one banked
-// world snapshot, and make the first real request mint zero keys — the
-// fleet daemon prewarms every replica at boot, sometimes while traffic
-// is already arriving.
+// all succeed with the same resident count, leave exactly one key pool
+// that minted each key once, and make the first real request mint zero
+// keys — the fleet daemon prewarms every replica at boot, sometimes while
+// traffic is already arriving.
 func TestServer_PrewarmConcurrent(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
 
@@ -118,8 +118,12 @@ func TestServer_PrewarmConcurrent(t *testing.T) {
 			t.Errorf("Prewarm[%d] resident = %d, want 3", i, residents[i])
 		}
 	}
-	if got := srv.worlds.len(); got != 1 {
-		t.Errorf("world cache holds %d snapshots after concurrent prewarm, want 1", got)
+	if got := srv.pools.len(); got != 1 {
+		t.Errorf("server holds %d key pools after concurrent prewarm, want 1", got)
+	}
+	pool := srv.keyPool("prewarm-conc")
+	if got := pool.Minted(); got != 3 {
+		t.Errorf("concurrent prewarm minted %d keys, want 3 (one per device)", got)
 	}
 
 	// The racing warm-ups must have produced ONE coherent pool: a run over
@@ -133,7 +137,7 @@ func TestServer_PrewarmConcurrent(t *testing.T) {
 	if got := srv.metrics.RSAMinted(); got != 0 {
 		t.Errorf("post-prewarm run minted %d keys, want 0", got)
 	}
-	if got := counterValue(t, metricsText(t, ts), "wideleakd_world_cache_hits_total"); got != "1" {
-		t.Errorf("world cache hits = %s, want 1", got)
+	if got := pool.Size(); got != 3 {
+		t.Errorf("pool holds %d keys after the run, want the 3 prewarmed", got)
 	}
 }

@@ -48,14 +48,11 @@ type jobResult struct {
 	wall    time.Duration
 	virtual time.Duration
 
-	// worldHit records whether the run restored a tier-2 world snapshot
-	// (true) or built its world cold (false) — the provenance the fleet
-	// load harness reads back through headers and job status.
-	worldHit bool
-
 	// cellsRecombined records that the run was assembled purely from
-	// memoized probe cells: no world was built or restored and no probe
-	// executed — the cell-aware result tier's zero-work path.
+	// memoized probe cells: no world was built and no probe executed —
+	// the cell-aware result tier's zero-work path. Headers and job
+	// status report it as the world-cache provenance: "hit" when the run
+	// needed no world, "miss" when it built one.
 	cellsRecombined bool
 }
 
@@ -279,9 +276,9 @@ type StudyStatus struct {
 	WallMS          int64 `json:"wall_ms,omitempty"`
 	VirtualMS       int64 `json:"virtual_ms,omitempty"`
 
-	// WorldCache reports the done run's tier-2 provenance: "hit" when it
-	// restored a warmed world snapshot, "miss" when it built cold. Empty
-	// until the job is done.
+	// WorldCache reports whether the done run built a world: "miss" when
+	// it did, "hit" when every cell it needed was memoized. Empty until
+	// the job is done.
 	WorldCache string `json:"world_cache,omitempty"`
 
 	// CellCache is "hit" when the run was reassembled purely from
@@ -309,7 +306,7 @@ func (j *Job) studyStatus() StudyStatus {
 		st.Rows = r.rows
 		st.WallMS = r.wall.Milliseconds()
 		st.VirtualMS = r.virtual.Milliseconds()
-		st.WorldCache = worldCacheLabel(r.worldHit)
+		st.WorldCache = worldCacheLabel(r.cellsRecombined)
 		if r.cellsRecombined {
 			st.CellCache = "hit"
 		}
@@ -385,21 +382,22 @@ func (j *Job) snapshotResult() *jobResult {
 
 // provenance reports the done job's cache attribution — whether the job
 // itself was served from the tier-1 result cache, and whether the run
-// that produced its bytes restored a tier-2 world snapshot. ok is false
-// until the job is done.
-func (j *Job) provenance() (cached, worldHit, ok bool) {
+// that produced its bytes was recombined from memoized cells without
+// building a world. ok is false until the job is done.
+func (j *Job) provenance() (cached, recombined, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != JobDone || j.result == nil {
 		return false, false, false
 	}
-	return j.cached, j.result.worldHit, true
+	return j.cached, j.result.cellsRecombined, true
 }
 
-// worldCacheLabel renders tier-2 provenance the way headers and job
-// status spell it.
-func worldCacheLabel(hit bool) string {
-	if hit {
+// worldCacheLabel renders world provenance the way headers and job
+// status spell it: "hit" when the run needed no world, "miss" when it
+// built one.
+func worldCacheLabel(recombined bool) string {
+	if recombined {
 		return "hit"
 	}
 	return "miss"

@@ -1,0 +1,188 @@
+package serve
+
+import (
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"repro/internal/ott"
+	"repro/internal/wideleak"
+)
+
+// counterValue scrapes one counter out of the Prometheus text rendering.
+func counterValue(t *testing.T, metrics, name string) string {
+	t.Helper()
+	for _, line := range strings.Split(metrics, "\n") {
+		if strings.HasPrefix(line, name+" ") {
+			return strings.TrimPrefix(line, name+" ")
+		}
+	}
+	t.Fatalf("counter %s not rendered", name)
+	return ""
+}
+
+// worldCacheHeader reads the world provenance a done study's table is
+// served with.
+func worldCacheHeader(t *testing.T, ts *httptest.Server, id string) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/studies/" + id + "/table")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("table %s = %d", id, resp.StatusCode)
+	}
+	return resp.Header.Get(HeaderWorldCache)
+}
+
+// runDone submits a spec as a new study and waits for it to finish done.
+func runDone(t *testing.T, ts *httptest.Server, spec wideleak.RunSpec) StudyStatus {
+	t.Helper()
+	st := waitTerminal(t, ts, submit(t, ts, spec, http.StatusAccepted).ID)
+	if st.State != JobDone {
+		t.Fatalf("job %v ended %s: %s", spec.Probes, st.State, st.Error)
+	}
+	return st
+}
+
+// TestServer_WorldCacheTier pins the warm tier below the result cache: a
+// request that misses the result cache (different probe subset) on a
+// warmed seed builds its world, answers World-Cache "miss", and
+// provisions ZERO new device keys from the seed's key pool; a probe
+// subset whose cells are all memoized needs no world and answers "hit".
+func TestServer_WorldCacheTier(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
+
+	// Cold run: all default probes over one app. Builds the world and
+	// mints its keys into the seed's pool.
+	cold := runDone(t, ts, wideleak.RunSpec{Seed: "world-tier", Profiles: []string{"Showtime"}})
+	coldMints := srv.metrics.RSAMinted()
+	if coldMints == 0 {
+		t.Fatal("cold run minted no keys — the key-pool assertion would be vacuous")
+	}
+	if cold.WorldCache != "miss" || worldCacheHeader(t, ts, cold.ID) != "miss" {
+		t.Errorf("cold run world_cache = %q, want miss", cold.WorldCache)
+	}
+
+	// Warm run: a new probe — new result key, same seed. q5 is opt-in, so
+	// the cold run never primed its cells: the job builds its world and
+	// re-provisions nothing.
+	warm := runDone(t, ts, wideleak.RunSpec{Seed: "world-tier", Profiles: []string{"Showtime"}, Probes: []string{"q5"}})
+	if got := srv.metrics.RSAMinted(); got != coldMints {
+		t.Errorf("warm run minted %d new keys, want 0", got-coldMints)
+	}
+	if warm.WorldCache != "miss" {
+		t.Errorf("warm run world_cache = %q, want miss (it built its world)", warm.WorldCache)
+	}
+	if got := worldCacheHeader(t, ts, warm.ID); got != "miss" {
+		t.Errorf("warm run %s = %q, want miss", HeaderWorldCache, got)
+	}
+
+	// Memoized subset: q2 ran in the cold run, so every cell is resident
+	// and the job needs no world at all.
+	memo := runDone(t, ts, wideleak.RunSpec{Seed: "world-tier", Profiles: []string{"Showtime"}, Probes: []string{"q2"}})
+	if memo.WorldCache != "hit" || memo.CellCache != "hit" {
+		t.Errorf("memoized subset world_cache = %q, cell_cache = %q, want hit, hit", memo.WorldCache, memo.CellCache)
+	}
+	if got := worldCacheHeader(t, ts, memo.ID); got != "hit" {
+		t.Errorf("memoized subset %s = %q, want hit", HeaderWorldCache, got)
+	}
+	if got := srv.metrics.RSAMinted(); got != coldMints {
+		t.Errorf("memoized subset minted %d new keys, want 0", got-coldMints)
+	}
+}
+
+// TestServer_WorldCacheFaultIsolation: a faulted request must NOT reuse
+// the fault-free run's cells (the fault schedule is world identity), yet
+// the key pool is per seed, so the faulted world of a warmed seed mints
+// zero keys.
+func TestServer_WorldCacheFaultIsolation(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
+
+	clean := smallSpec()
+	faulted := smallSpec()
+	faulted.Faults = &wideleak.RunFaults{Rate: 0.2}
+
+	runDone(t, ts, clean)
+	coldMints := srv.metrics.RSAMinted()
+	if coldMints == 0 {
+		t.Fatal("clean run minted no keys — the key-pool assertion would be vacuous")
+	}
+	st := runDone(t, ts, faulted)
+	if st.WorldCache != "miss" || st.Observations == 0 {
+		t.Errorf("faulted run world_cache = %q with %d observations, want a built world (fault schedule is world identity)", st.WorldCache, st.Observations)
+	}
+	// q5 keeps the request below the cell tier (opt-in, so never primed
+	// above).
+	faulted.Probes = []string{"q5"}
+	runDone(t, ts, faulted)
+	if got := srv.metrics.RSAMinted(); got != coldMints {
+		t.Errorf("faulted worlds of a warmed seed minted %d new keys, want 0", got-coldMints)
+	}
+}
+
+// TestServer_Prewarm: boot-time warm-up mints the requested keys into
+// the per-seed pool, so the FIRST request for that seed generates no key.
+func TestServer_Prewarm(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
+
+	first := ott.Profiles()[0].Name
+	resident, err := srv.Prewarm(context.Background(), "prewarm-test", 3, 2)
+	if err != nil {
+		t.Fatalf("Prewarm: %v", err)
+	}
+	if resident != 3 {
+		t.Fatalf("Prewarm resident = %d, want 3", resident)
+	}
+	if got := srv.pools.len(); got != 1 {
+		t.Errorf("server holds %d key pools after prewarm, want 1", got)
+	}
+
+	// The first three stable IDs are the first profile's devices, so a
+	// run over that profile needs no generation at all.
+	runDone(t, ts, wideleak.RunSpec{Seed: "prewarm-test", Profiles: []string{first}, Probes: []string{"q2"}})
+	if got := srv.metrics.RSAMinted(); got != 0 {
+		t.Errorf("prewarmed run minted %d keys, want 0", got)
+	}
+	if got := counterValue(t, metricsText(t, ts), "wideleakd_rsa_keys_minted_total"); got != "0" {
+		t.Errorf("rsa minted counter = %s, want 0", got)
+	}
+	if got := srv.keyPool("prewarm-test").Size(); got != 3 {
+		t.Errorf("pool holds %d keys after the run, want the 3 prewarmed", got)
+	}
+
+	// Prewarm is idempotent.
+	if resident, err = srv.Prewarm(context.Background(), "prewarm-test", 3, 2); err != nil || resident != 3 {
+		t.Fatalf("second Prewarm = (%d, %v), want (3, nil)", resident, err)
+	}
+}
+
+// TestServer_RSAPrivateOps: the exported private-key budget moves with
+// a computed study — every license exchange signs and decrypts — and
+// stands still on a tier-1 hit, which does no device work.
+func TestServer_RSAPrivateOps(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
+	ops := func() (sign, decrypt string) {
+		m := metricsText(t, ts)
+		return counterValue(t, m, `wideleakd_rsa_private_ops_total{op="sign"}`),
+			counterValue(t, m, `wideleakd_rsa_private_ops_total{op="decrypt"}`)
+	}
+
+	sign0, decrypt0 := ops()
+	spec := wideleak.RunSpec{Seed: "private-ops", Profiles: []string{"Showtime"}, Probes: []string{"q2"}}
+	runDone(t, ts, spec)
+	sign1, decrypt1 := ops()
+	if sign1 == sign0 || decrypt1 == decrypt0 {
+		t.Errorf("computed study moved private ops sign %s → %s, decrypt %s → %s; want both to move", sign0, sign1, decrypt0, decrypt1)
+	}
+
+	if sub := submit(t, ts, spec, http.StatusOK); !sub.Cached {
+		t.Fatal("identical resubmission was not a tier-1 hit")
+	}
+	if sign2, decrypt2 := ops(); sign2 != sign1 || decrypt2 != decrypt1 {
+		t.Errorf("tier-1 hit moved private ops sign %s → %s, decrypt %s → %s; want neither to move", sign1, sign2, decrypt1, decrypt2)
+	}
+}

@@ -51,17 +51,16 @@ import (
 //     job born done), "coalesced" (attached to an identical live job),
 //     or "miss" (a fresh run was queued).
 //   - HeaderWorldCache on done-job responses (submit hits, status,
-//     table): "hit" when the run that produced the bytes restored a
-//     tier-2 world snapshot, "miss" when it built its world cold.
+//     table): "miss" when the run that produced the bytes built a world,
+//     "hit" when it needed none (every cell was memoized).
 const (
 	HeaderCacheTier  = "X-Wideleak-Cache"
 	HeaderWorldCache = "X-Wideleak-World-Cache"
 )
 
-// worldCacheSize bounds the tier-2 world-snapshot cache and the per-seed
-// key-pool index. A snapshot is ~50 KB; a pool holds the seed's live RSA
-// keys.
-const worldCacheSize = 16
+// keyPoolSeeds bounds the per-seed key-pool index. A pool holds its
+// seed's live RSA keys.
+const keyPoolSeeds = 16
 
 // Config sizes the server. Zero values select the defaults.
 type Config struct {
@@ -108,18 +107,14 @@ type Server struct {
 	// from here without re-running any device work.
 	cache *lruCache[*jobResult]
 
-	// worlds is tier 2 below the result cache: world identity
-	// (wideleak.RunSpec.WorldKey — seed + fault schedule) → serialized
-	// snapshot of the warmed world's RSA provisioning state, so a request
-	// that misses tier 1 but shares a warmed world restores it in
-	// milliseconds. pools indexes the per-seed Device RSA key pools shared
-	// by every job of a seed, so even a tier-2 miss on a known seed
-	// re-mints nothing.
-	worlds *lruCache[[]byte]
-	pools  *lruCache[*provision.KeyPool]
+	// pools is the warm tier below the result and cell caches: the
+	// per-seed Device RSA key pools shared by every job of a seed. A
+	// world is cheap to build; its provisioned device keys are not, so a
+	// tier-1 miss on a known seed builds its world and re-mints nothing.
+	pools *lruCache[*provision.KeyPool]
 
 	// cells is the sub-result memoization tier between the result cache
-	// and the world cache: completed (world, profile, probe) outcomes by
+	// and the key pools: completed (world, profile, probe) outcomes by
 	// CellKey. It makes the result tier cell-aware — a probe-subset
 	// request recombines resident cells instead of re-running — and it is
 	// what lets a batch share work across overlapping specs.
@@ -148,8 +143,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		cache:  newLRUCache[*jobResult](cfg.CacheSize),
-		worlds: newLRUCache[[]byte](worldCacheSize),
-		pools:  newLRUCache[*provision.KeyPool](worldCacheSize),
+		pools:  newLRUCache[*provision.KeyPool](keyPoolSeeds),
 		cells:  wideleak.NewCellCache(cfg.CellCacheSize),
 		jobs:   make(map[string]*Job),
 		active: make(map[string]*Job),
@@ -172,18 +166,16 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Prewarm kills the cold start for a seed before the first request
 // arrives: it pre-mints up to n of the seed's device RSA keys into the
-// shared key pool (n <= 0 means all of them) on parallelism workers,
-// then banks a world snapshot so the first cold request restores
-// instead of building. Keys are byte-identical to lazily minted ones,
-// so prewarming is invisible to results. Returns the number of keys
-// resident for the seed.
+// shared key pool (n <= 0 means all of them) on parallelism workers.
+// Keys are byte-identical to lazily minted ones, so prewarming is
+// invisible to results. Returns the number of keys resident for the
+// seed.
 //
 // Prewarm is idempotent and safe to run concurrently with traffic; the
 // daemon calls it at boot (see wideleakd -prewarm) and logs the warm-up
 // duration.
 func (s *Server) Prewarm(ctx context.Context, seed string, n, parallelism int) (int, error) {
-	spec := wideleak.RunSpec{Seed: seed}
-	c, err := spec.Canonicalize()
+	c, err := wideleak.RunSpec{Seed: seed}.Canonicalize()
 	if err != nil {
 		return 0, err
 	}
@@ -192,30 +184,8 @@ func (s *Server) Prewarm(ctx context.Context, seed string, n, parallelism int) (
 		ids = ids[:n]
 	}
 	pool := s.keyPool(c.Seed)
-	if err := pool.Prewarm(ctx, ids, parallelism); err != nil {
-		return pool.Size(), err
-	}
-
-	// Bank the warmed (fault-free) world identity: a fresh world over
-	// the default profiles with the pool attached snapshots every
-	// pre-minted key without running any study.
-	worldKey, err := spec.WorldKey()
-	if err != nil {
-		return pool.Size(), err
-	}
-	world, err := wideleak.NewWorld(c.Seed, nil)
-	if err != nil {
-		return pool.Size(), err
-	}
-	if err := world.AttachKeyPool(pool); err != nil {
-		return pool.Size(), err
-	}
-	snap, err := world.Snapshot()
-	if err != nil {
-		return pool.Size(), err
-	}
-	s.worlds.put(worldKey, snap)
-	return pool.Size(), nil
+	err = pool.Prewarm(ctx, ids, parallelism)
+	return pool.Size(), err
 }
 
 // Shutdown drains the server: no further submissions are accepted (503),
@@ -296,48 +266,22 @@ func (s *Server) keyPool(seed string) *provision.KeyPool {
 	return s.pools.getOrPut(seed, func() *provision.KeyPool { return wideleak.NewKeyPool(seed) })
 }
 
-// buildStudy materializes a spec's study through the warm tiers: a
-// tier-2 world-snapshot hit restores the warmed world in milliseconds;
-// a miss builds cold. Either way the seed's shared key pool is attached
-// before any provisioning traffic, so whatever keys the tiers did not
-// cover mint once per seed, not once per job.
-func (s *Server) buildStudy(spec wideleak.RunSpec) (*wideleak.Study, bool, error) {
-	worldKey, err := spec.WorldKey()
+// buildStudy builds a spec's study and attaches the seed's shared key
+// pool before any provisioning traffic, so device keys mint once per
+// seed, not once per job.
+func (s *Server) buildStudy(spec wideleak.RunSpec) (*wideleak.Study, error) {
+	study, err := spec.Build()
 	if err != nil {
-		return nil, false, err
-	}
-	var study *wideleak.Study
-	worldHit := false
-	if snap := s.worlds.get(worldKey); snap != nil {
-		if study, err = spec.BuildFromSnapshot(snap); err == nil {
-			s.metrics.addWorldHit()
-			worldHit = true
-		} else {
-			study = nil // corrupt/mismatched snapshot: fall through to a cold build
-		}
-	}
-	if study == nil {
-		s.metrics.addWorldMiss()
-		if study, err = spec.Build(); err != nil {
-			return nil, false, err
-		}
+		return nil, err
 	}
 	if err := study.World.AttachKeyPool(s.keyPool(spec.Seed)); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return study, worldHit, nil
-}
-
-// builtWorld remembers one study a run materialized, so the server can
-// account its key mints and bank its snapshot afterwards.
-type builtWorld struct {
-	spec     wideleak.RunSpec // seed + faults + union profiles
-	study    *wideleak.Study
-	worldHit bool
+	return study, nil
 }
 
 // execute runs every spec of the job as one matrix under the job's
-// context, through the server's cell cache and warm world tiers. A
+// context, through the server's cell cache and per-seed key pools. A
 // study's probe events become its frames; a batch's completed rows
 // become its frames (its probe events only feed the metrics). Network
 // retries reach the per-host retry counters either way.
@@ -349,7 +293,7 @@ type builtWorld struct {
 func (s *Server) execute(ctx context.Context, job *Job) (*jobResult, error) {
 	var (
 		builtMu sync.Mutex
-		built   []builtWorld
+		built   []*wideleak.World
 	)
 	sink := s.metrics.ObserveEvent
 	if !job.batch {
@@ -359,7 +303,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (*jobResult, error) {
 		Concurrency: job.concurrency,
 		Cache:       s.cells,
 		BuildStudy: func(spec wideleak.RunSpec) (*wideleak.Study, error) {
-			study, worldHit, err := s.buildStudy(spec)
+			study, err := s.buildStudy(spec)
 			if err != nil {
 				return nil, err
 			}
@@ -369,7 +313,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (*jobResult, error) {
 			network := study.World.Network
 			network.SetRetryObserver(netsim.CombineRetryObservers(network.RetryObserver(), s.metrics.RetryObserver()))
 			builtMu.Lock()
-			built = append(built, builtWorld{spec: spec, study: study, worldHit: worldHit})
+			built = append(built, study.World)
 			builtMu.Unlock()
 			return study, nil
 		},
@@ -404,19 +348,9 @@ func (s *Server) execute(ctx context.Context, job *Job) (*jobResult, error) {
 			res.tables[i][format] = out
 		}
 	}
-	for _, bw := range built {
-		res.virtual += bw.study.World.Clock().Now()
-		res.worldHit = res.worldHit || bw.worldHit
-		// Account the world's key generations and bank its warmed
-		// snapshot: the next run sharing that world identity restores in
-		// milliseconds. (Re-banking after a tier-2 hit just refreshes
-		// recency — determinism makes the bytes agree.)
-		s.metrics.addRSAMinted(bw.study.World.Registry.MintCount())
-		if worldKey, err := bw.spec.WorldKey(); err == nil {
-			if snap, err := bw.study.World.Snapshot(); err == nil {
-				s.worlds.put(worldKey, snap)
-			}
-		}
+	for _, world := range built {
+		res.virtual += world.Clock().Now()
+		s.metrics.addRSAMinted(world.Registry.MintCount())
 	}
 	s.metrics.addCellStats(batch.Stats)
 	if res.cellsRecombined {
@@ -560,7 +494,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.metrics.addCacheHit()
 		s.mu.Unlock()
 		w.Header().Set(HeaderCacheTier, "hit")
-		w.Header().Set(HeaderWorldCache, worldCacheLabel(res.worldHit))
+		w.Header().Set(HeaderWorldCache, worldCacheLabel(res.cellsRecombined))
 		httpkit.WriteJSON(w, http.StatusOK, SubmitResponse{
 			ID: job.ID, State: JobDone, Cached: true, StatusURL: job.path(),
 		})
@@ -759,7 +693,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // response; live jobs get no provenance (it is unknown until they run),
 // and batches are never result-cached, so they get none either.
 func setProvenanceHeaders(w http.ResponseWriter, job *Job) {
-	cached, worldHit, ok := job.provenance()
+	cached, recombined, ok := job.provenance()
 	if !ok || job.batch {
 		return
 	}
@@ -768,5 +702,5 @@ func setProvenanceHeaders(w http.ResponseWriter, job *Job) {
 	} else {
 		w.Header().Set(HeaderCacheTier, "miss")
 	}
-	w.Header().Set(HeaderWorldCache, worldCacheLabel(worldHit))
+	w.Header().Set(HeaderWorldCache, worldCacheLabel(recombined))
 }

@@ -155,7 +155,9 @@ func (rt *Router) handleBatchTable(w http.ResponseWriter, r *http.Request) {
 		rt.fail(w, err)
 		return
 	}
-	relayResponse(w, resp, rep.id)
+	if relayResponse(w, resp, rep.id) && resp.StatusCode == http.StatusOK {
+		part.markOver() // tables are served only for a done batch
+	}
 }
 
 // mergeState folds part states into the batch's: any failure dominates,
@@ -182,7 +184,8 @@ func mergeState(states []serve.JobState) serve.JobState {
 }
 
 // handleBatchStatus merges every part's status; a part whose replica is
-// gone fails over first.
+// gone fails over first. A cancelled part whose replica cannot be read
+// reports canceled: it never runs again, so it cannot end any other way.
 func (rt *Router) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
 	job := rt.lookup(w, r, true)
 	if job == nil {
@@ -200,10 +203,15 @@ func (rt *Router) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
 		err := rt.getPart(r.Context(), job, part, "", &st)
 		doc := fleetBatchPartDoc{Specs: part.specIdx}
 		doc.Replica, doc.BatchID = part.location()
-		if err != nil {
+		switch {
+		case err != nil && part.isCancelled():
+			doc.State, doc.Error = serve.JobCanceled, err.Error()
+			part.markOver()
+		case err != nil:
 			doc.State, doc.Error = serve.JobFailed, err.Error()
 			errs = append(errs, fmt.Sprintf("%s: %v", doc.Replica, err))
-		} else {
+		default:
+			part.observe(st.State)
 			doc.State, doc.Error = st.State, st.Error
 			if st.Error != "" {
 				errs = append(errs, fmt.Sprintf("%s: %s", doc.Replica, st.Error))
@@ -317,10 +325,11 @@ func (rt *Router) streamRows(w http.ResponseWriter, r *http.Request, job *fleetJ
 			return
 		}
 	}
-	for _, st := range states {
+	for i, st := range states {
 		if st == "" {
 			return
 		}
+		job.parts[i].observe(st)
 	}
 	stream.Done(string(mergeState(states)))
 }

@@ -388,3 +388,38 @@ func TestRouter_BatchShed(t *testing.T) {
 		t.Errorf("replica %s canceled batches = %q, want 1", ownerB, got)
 	}
 }
+
+// TestRouter_BatchCancelOnDeadReplica: a DELETE on a batch whose
+// replica died cannot reach the part, so the part is never rerun; the
+// batch's status then reports it canceled, not failed.
+func TestRouter_BatchCancelOnDeadReplica(t *testing.T) {
+	f := startFleetOpts(t, 2, serve.Config{Workers: 1}, Options{HealthInterval: time.Hour})
+	spec := wideleak.RunSpec{Seed: "batch-cancel-dead", Profiles: []string{"Showtime"}, Probes: []string{"q2"}}
+	owner := f.Router.OwnerOf(worldKeyOf(t, spec))
+	id, _, _ := fleetSubmitBatch(t, f.URL, []wideleak.RunSpec{spec}, http.StatusAccepted)
+	f.Replica(owner).Kill()
+
+	req, err := http.NewRequest(http.MethodDelete, f.URL+"/v1/batches/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainBody(resp)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("DELETE on a dead replica = %d, want 503", resp.StatusCode)
+	}
+
+	st := getFleetBatchStatus(t, f.URL, id)
+	if st.State != serve.JobCanceled || st.Error != "" {
+		t.Errorf("batch after a cancel on a dead replica: state %s, error %q; want canceled and no error", st.State, st.Error)
+	}
+	if len(st.Parts) != 1 || st.Parts[0].State != serve.JobCanceled {
+		t.Errorf("parts = %+v, want one canceled part", st.Parts)
+	}
+	if n := f.Router.Metrics().Failovers(); n != 0 {
+		t.Errorf("failovers_total = %d, want 0: a cancelled part is never rerun", n)
+	}
+}

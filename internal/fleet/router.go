@@ -73,9 +73,8 @@ func (r *replica) isHealthy() bool { return r.healthy.Load() }
 
 // fleetJob is the router's record of one submitted job. A study is one
 // part posted to /v1/studies; a batch is split by the ring owner of its
-// specs' worlds into parts posted to /v1/batches. The job table is never
-// pruned, so a study keeps nothing beyond its part: its spec lives in
-// the part's body.
+// specs' worlds into parts posted to /v1/batches. A study keeps nothing
+// beyond its part: its spec lives in the part's body.
 type fleetJob struct {
 	id    string
 	batch bool
@@ -92,16 +91,55 @@ type fleetPart struct {
 	body     []byte
 	specIdx  []int // nil for a study
 
-	mu        sync.Mutex // guards replicaID/remoteID/cancelled across failovers
+	mu        sync.Mutex // guards replicaID/remoteID/cancelled/over across failovers
 	replicaID string
 	remoteID  string
 	cancelled bool // a DELETE took effect or could not reach the replica; never rerun
+	over      bool // a replica answer showed the part terminal (or no longer held)
 }
 
 func (p *fleetPart) location() (replicaID, remoteID string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.replicaID, p.remoteID
+}
+
+// isCancelled reports whether a DELETE took effect or could not reach
+// the part's replica.
+func (p *fleetPart) isCancelled() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cancelled
+}
+
+// observe records a state a replica reported for the part; a terminal
+// one makes the part over.
+func (p *fleetPart) observe(state serve.JobState) {
+	if state == serve.JobDone || state == serve.JobFailed || state == serve.JobCanceled {
+		p.markOver()
+	}
+}
+
+func (p *fleetPart) markOver() {
+	p.mu.Lock()
+	p.over = true
+	p.mu.Unlock()
+}
+
+// terminal reports whether every part of the job is over. The router
+// learns that only from replica answers it relays (a terminal status, a
+// table, a stream that ran to its end, an ID the replica no longer
+// holds), so a job nobody reads again stays live in its table.
+func (j *fleetJob) terminal() bool {
+	for _, p := range j.parts {
+		p.mu.Lock()
+		over := p.over
+		p.mu.Unlock()
+		if !over {
+			return false
+		}
+	}
+	return true
 }
 
 // locate finds the part running fleet spec idx and the spec's index
@@ -139,9 +177,10 @@ type Router struct {
 
 	replicas map[string]*replica // fixed at construction, read without a lock
 
-	mu   sync.Mutex // guards jobs and seq
-	jobs map[string]*fleetJob
-	seq  int64
+	mu       sync.Mutex // guards jobs and the sequences
+	jobs     *httpkit.JobTable[*fleetJob]
+	seq      int64 // fleet study IDs issued
+	batchSeq int64 // fleet batch IDs issued
 
 	closed chan struct{}
 	wg     sync.WaitGroup
@@ -172,7 +211,7 @@ func NewRouter(members []Member, opts Options) (*Router, error) {
 		opts:     opts,
 		ring:     newRing(ids, vnodes),
 		replicas: replicas,
-		jobs:     make(map[string]*fleetJob),
+		jobs:     newJobTable(maxJobRecords),
 		client: &http.Client{Transport: &http.Transport{
 			DialContext:           (&net.Dialer{Timeout: 2 * time.Second}).DialContext,
 			MaxIdleConnsPerHost:   64,
@@ -403,7 +442,7 @@ type placement struct {
 
 // submit places every part of a new job on the ring, then registers the
 // job under a fleet ID — f000001-<key prefix> for a study, fb000001 for
-// a batch, from one sequence — and stamps the route headers. A job
+// a batch, one sequence each — and stamps the route headers. A job
 // exists whole or not at all: when a part cannot be placed, the parts
 // already placed are cancelled and the refusal is answered.
 func (rt *Router) submit(w http.ResponseWriter, r *http.Request, job *fleetJob, key string) ([]placement, bool) {
@@ -416,17 +455,19 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request, job *fleetJob, 
 			return nil, false
 		}
 		part.replicaID, part.remoteID = p.rep.id, p.remote.ID
+		part.observe(p.remote.State) // a result-cache hit is born done
 		placed = append(placed, p)
 	}
 
 	rt.mu.Lock()
-	rt.seq++
 	if job.batch {
-		job.id = fmt.Sprintf("fb%06d", rt.seq)
+		rt.batchSeq++
+		job.id = fmt.Sprintf("fb%06d", rt.batchSeq)
 	} else {
+		rt.seq++
 		job.id = fmt.Sprintf("f%06d-%.8s", rt.seq, key)
 	}
-	rt.jobs[job.id] = job
+	rt.jobs.Add(job)
 	rt.mu.Unlock()
 
 	ids := make([]string, len(placed))
@@ -554,6 +595,9 @@ func (rt *Router) proxy(ctx context.Context, job *fleetJob, part *fleetPart, met
 			part.mu.Unlock()
 		}
 		if err == nil {
+			if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusGone {
+				part.markOver() // the replica no longer holds the job
+			}
 			return resp, rep, nil
 		}
 		if ctx.Err() != nil {
@@ -667,17 +711,40 @@ func drainBody(resp *http.Response) {
 	resp.Body.Close()
 }
 
+// maxJobRecords bounds the fleet job table: past it, registering a job
+// drops the oldest terminal records (see httpkit.JobTable), whose IDs
+// then answer 410.
+const maxJobRecords = 4096
+
+func newJobTable(max int) *httpkit.JobTable[*fleetJob] {
+	return httpkit.NewJobTable(max,
+		func(j *fleetJob) string { return j.id },
+		(*fleetJob).terminal)
+}
+
 // lookup resolves the {id} path value to a study (batch false) or a
-// batch (batch true), answering 404 when there is none.
+// batch (batch true). It answers 410 for a fleet ID the router issued
+// and has since dropped from its job table, and 404 for any other
+// unknown ID.
 func (rt *Router) lookup(w http.ResponseWriter, r *http.Request, batch bool) *fleetJob {
+	id := r.PathValue("id")
+	noun, prefix, seq := "study", "f", &rt.seq
+	if batch {
+		noun, prefix, seq = "batch", "fb", &rt.batchSeq
+	}
 	rt.mu.Lock()
-	job := rt.jobs[r.PathValue("id")]
+	job, ok := rt.jobs.Get(id)
+	issued := *seq
 	rt.mu.Unlock()
-	if job == nil || job.batch != batch {
-		httpkit.WriteError(w, http.StatusNotFound, "no such "+map[bool]string{false: "study", true: "batch"}[batch])
+	if ok && job.batch == batch {
+		return job
+	}
+	if n, ok := httpkit.IDSeq(id, prefix); ok && n <= issued {
+		httpkit.WriteError(w, http.StatusGone, noun+" "+id+" is over and no longer held")
 		return nil
 	}
-	return job
+	httpkit.WriteError(w, http.StatusNotFound, "no such "+noun)
+	return nil
 }
 
 // handleStudy relays a study's status, table, events or cancel to the
@@ -692,41 +759,57 @@ func (rt *Router) handleStudy(suffix string) http.HandlerFunc {
 		if r.URL.RawQuery != "" {
 			path += "?" + r.URL.RawQuery
 		}
-		resp, rep, err := rt.proxy(r.Context(), job, job.parts[0], r.Method, path)
+		part := job.parts[0]
+		resp, rep, err := rt.proxy(r.Context(), job, part, r.Method, path)
 		if err != nil {
 			rt.fail(w, err)
 			return
 		}
-		if suffix == "" && r.Method == http.MethodGet && resp.StatusCode == http.StatusOK {
-			relayStudyStatus(w, resp, rep.id, job.id)
-		} else {
+		if r.Method != http.MethodGet || resp.StatusCode != http.StatusOK {
 			relayResponse(w, resp, rep.id)
+			return
+		}
+		// A table is served only for a done study, and an event stream
+		// ends only once the study is terminal.
+		switch suffix {
+		case "":
+			part.observe(relayStudyStatus(w, resp, rep.id, job.id))
+		case "/table":
+			relayResponse(w, resp, rep.id)
+			part.markOver()
+		default:
+			if complete := relayResponse(w, resp, rep.id); complete && r.URL.Query().Get("stream") != "" {
+				part.markOver()
+			}
 		}
 	}
 }
 
 // relayResponse copies a replica response to the client, flushing
-// eagerly for event streams so SSE stays live through the router.
-func relayResponse(w http.ResponseWriter, resp *http.Response, replicaID string) {
+// eagerly for event streams so SSE stays live through the router. It
+// reports whether the whole body reached the client: for an event
+// stream, that the replica ended it.
+func relayResponse(w http.ResponseWriter, resp *http.Response, replicaID string) bool {
 	defer resp.Body.Close()
 	relayHeaders(w, resp, replicaID)
 	w.WriteHeader(resp.StatusCode)
 	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		flushCopy(w, resp.Body)
-		return
+		return flushCopy(w, resp.Body)
 	}
-	io.Copy(w, resp.Body)
+	_, err := io.Copy(w, resp.Body)
+	return err == nil
 }
 
 // relayStudyStatus relays a replica's study status document with the
 // replica-local job ID and URLs rewritten to the fleet job's, so every
-// link in it resolves through the router.
-func relayStudyStatus(w http.ResponseWriter, resp *http.Response, replicaID, fleetID string) {
+// link in it resolves through the router, and returns the study's
+// state.
+func relayStudyStatus(w http.ResponseWriter, resp *http.Response, replicaID, fleetID string) serve.JobState {
 	defer resp.Body.Close()
 	var st serve.StudyStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		httpkit.WriteError(w, http.StatusBadGateway, fmt.Sprintf("replica %s: %v", replicaID, err))
-		return
+		return ""
 	}
 	st.ID = fleetID
 	if st.TableURL != "" {
@@ -737,6 +820,7 @@ func relayStudyStatus(w http.ResponseWriter, resp *http.Response, replicaID, fle
 	}
 	relayHeaders(w, resp, replicaID)
 	httpkit.WriteJSON(w, resp.StatusCode, st)
+	return st.State
 }
 
 // relayHeaders copies the replica headers a client may act on and names
@@ -751,22 +835,23 @@ func relayHeaders(w http.ResponseWriter, resp *http.Response, replicaID string) 
 	w.Header().Set(HeaderReplica, replicaID)
 }
 
-// flushCopy streams body to the client, flushing after every chunk.
-func flushCopy(w http.ResponseWriter, body io.Reader) {
+// flushCopy streams body to the client, flushing after every chunk, and
+// reports whether it copied everything up to the body's clean end.
+func flushCopy(w http.ResponseWriter, body io.Reader) bool {
 	flusher, _ := w.(http.Flusher)
 	buf := make([]byte, 4096)
 	for {
 		n, err := body.Read(buf)
 		if n > 0 {
 			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
+				return false
 			}
 			if flusher != nil {
 				flusher.Flush()
 			}
 		}
 		if err != nil {
-			return
+			return err == io.EOF
 		}
 	}
 }

@@ -589,3 +589,54 @@ func TestRouter_StudyStatusLinks(t *testing.T) {
 		t.Errorf("table_url bytes differ from the fleet job's table")
 	}
 }
+
+// TestRouter_JobRetention: past the fleet job-table bound, registering a
+// job drops the oldest record the router has seen finish, whose ID then
+// answers 410. A job whose end the router never saw counts as live and
+// stays, and an ID the router never issued answers 404.
+func TestRouter_JobRetention(t *testing.T) {
+	const bound = 3
+	f := startFleet(t, 1, serve.Config{Workers: 1})
+	f.Router.mu.Lock()
+	f.Router.jobs = newJobTable(bound)
+	f.Router.mu.Unlock()
+	status := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(f.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainBody(resp)
+		return resp.StatusCode
+	}
+	spec := `{"seed":"fleet-retention","profiles":["Showtime"],"probes":["q2"]}`
+
+	first, _ := fleetSubmit(t, f.URL, spec, http.StatusAccepted)
+	waitFleetDone(t, f.URL, first.ID, 60*time.Second)
+	unread, _ := fleetSubmit(t, f.URL, `{"seed":"fleet-retention-unread","profiles":["Showtime"],"probes":["q2"]}`, http.StatusAccepted)
+	var hits []string
+	for i := 0; i < bound; i++ {
+		sub, _ := fleetSubmit(t, f.URL, spec, http.StatusOK) // result-cache hit: born done
+		hits = append(hits, sub.ID)
+	}
+
+	// Records in submission order: first, unread, hits[0..2]. Two had to
+	// go: first, then hits[0], skipping the job never seen to finish.
+	for _, id := range []string{first.ID, hits[0]} {
+		for _, suffix := range []string{"", "/table", "/events"} {
+			if got := status("/v1/studies/" + id + suffix); got != http.StatusGone {
+				t.Errorf("GET %s%s = %d, want 410", id, suffix, got)
+			}
+		}
+	}
+	for _, id := range append([]string{unread.ID}, hits[1:]...) {
+		if got := status("/v1/studies/" + id); got != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200", id, got)
+		}
+	}
+	for _, path := range []string{"/v1/studies/f999999-00000000", "/v1/studies/f00000x", "/v1/batches/fb000001", "/v1/batches/" + hits[1]} {
+		if got := status(path); got != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, got)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -162,27 +163,55 @@ func TestServer_Prewarm(t *testing.T) {
 
 // TestServer_RSAPrivateOps: the exported private-key budget moves with
 // a computed study — every license exchange signs and decrypts — and
-// stands still on a tier-1 hit, which does no device work.
+// stands still on a tier-1 hit, which does no device work. A second
+// computed study on the warmed seed replays the first one's exchanges:
+// its fault schedule forks apart from the seed's nonce, salt and OAEP
+// streams, so the private-key memo answers every call it makes.
 func TestServer_RSAPrivateOps(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
-	ops := func() (sign, decrypt string) {
+	type ops struct{ sign, decrypt, signHits, decryptHits int64 }
+	read := func() ops {
 		m := metricsText(t, ts)
-		return counterValue(t, m, `wideleakd_rsa_private_ops_total{op="sign"}`),
-			counterValue(t, m, `wideleakd_rsa_private_ops_total{op="decrypt"}`)
+		n := func(name string) int64 {
+			v, err := strconv.ParseInt(counterValue(t, m, name), 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		return ops{
+			n(`wideleakd_rsa_private_ops_total{op="sign"}`), n(`wideleakd_rsa_private_ops_total{op="decrypt"}`),
+			n(`wideleakd_rsa_private_memo_hits_total{op="sign"}`), n(`wideleakd_rsa_private_memo_hits_total{op="decrypt"}`),
+		}
 	}
 
-	sign0, decrypt0 := ops()
+	before := read()
 	spec := wideleak.RunSpec{Seed: "private-ops", Profiles: []string{"Showtime"}, Probes: []string{"q2"}}
 	runDone(t, ts, spec)
-	sign1, decrypt1 := ops()
-	if sign1 == sign0 || decrypt1 == decrypt0 {
-		t.Errorf("computed study moved private ops sign %s → %s, decrypt %s → %s; want both to move", sign0, sign1, decrypt0, decrypt1)
+	first := read()
+	if first.sign == before.sign || first.decrypt == before.decrypt {
+		t.Errorf("computed study moved private ops %+v → %+v; want sign and decrypt to move", before, first)
 	}
 
 	if sub := submit(t, ts, spec, http.StatusOK); !sub.Cached {
 		t.Fatal("identical resubmission was not a tier-1 hit")
 	}
-	if sign2, decrypt2 := ops(); sign2 != sign1 || decrypt2 != decrypt1 {
-		t.Errorf("tier-1 hit moved private ops sign %s → %s, decrypt %s → %s; want neither to move", sign1, sign2, decrypt1, decrypt2)
+	if hit := read(); hit != first {
+		t.Errorf("tier-1 hit moved private ops %+v → %+v; want nothing to move", first, hit)
+	}
+
+	// A fault rate this low injects nothing, but the spec is a new world
+	// key: no tier-1 entry and no memoized cell answers it.
+	replay := spec
+	replay.Faults = &wideleak.RunFaults{Rate: 1e-9, Seed: "private-ops-replay"}
+	if st := runDone(t, ts, replay); st.Observations == 0 {
+		t.Fatal("replay study did no device work")
+	}
+	second := read()
+	calls := ops{sign: second.sign - first.sign, decrypt: second.decrypt - first.decrypt}
+	hits := ops{sign: second.signHits - first.signHits, decrypt: second.decryptHits - first.decryptHits}
+	if calls.sign == 0 || calls.decrypt == 0 || calls != hits {
+		t.Errorf("second computed study on the warmed seed: calls sign %d decrypt %d, memo hits sign %d decrypt %d; want equal and nonzero",
+			calls.sign, calls.decrypt, hits.sign, hits.decrypt)
 	}
 }

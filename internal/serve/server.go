@@ -121,13 +121,12 @@ type Server struct {
 	cells *wideleak.CellCache
 
 	mu       sync.Mutex
-	jobs     map[string]*Job // studies and batches by ID
-	order    []*Job          // submission order (for listing)
-	active   map[string]*Job // canonical key → live study (coalescing)
+	jobs     *httpkit.JobTable[*Job] // studies and batches by ID, in submission order
+	active   map[string]*Job         // canonical key → live study (coalescing)
 	queue    chan *Job
 	draining bool
-	seq      int64 // study IDs
-	batchSeq int64 // batch IDs
+	seq      int64 // study IDs issued
+	batchSeq int64 // batch IDs issued
 
 	inFlight atomic.Int64
 	wg       sync.WaitGroup
@@ -145,7 +144,7 @@ func New(cfg Config) *Server {
 		cache:  newLRUCache[*jobResult](cfg.CacheSize),
 		pools:  newLRUCache[*provision.KeyPool](keyPoolSeeds),
 		cells:  wideleak.NewCellCache(cfg.CellCacheSize),
-		jobs:   make(map[string]*Job),
+		jobs:   newJobTable(maxJobRecords),
 		active: make(map[string]*Job),
 		queue:  make(chan *Job, cfg.QueueSize),
 	}
@@ -210,7 +209,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
-		for _, j := range s.jobs {
+		for _, j := range s.jobs.All() {
 			j.requestCancel()
 		}
 		s.mu.Unlock()
@@ -368,9 +367,22 @@ func (s *Server) clearActive(job *Job) {
 	s.mu.Unlock()
 }
 
-// newJobLocked mints a queued job; the caller holds s.mu.
+// maxJobRecords bounds the job table: past it, registering a job drops
+// the oldest terminal records (see httpkit.JobTable), whose IDs then
+// answer 410. At the benchmark's highest rate (~2000 cache-hit jobs a
+// second) that keeps a finished job readable for about two seconds.
+const maxJobRecords = 4096
+
+func newJobTable(max int) *httpkit.JobTable[*Job] {
+	return httpkit.NewJobTable(max,
+		func(j *Job) string { return j.ID },
+		func(j *Job) bool { return j.State().terminal() })
+}
+
+// newJobLocked mints a queued job; the caller holds s.mu. Its ID is
+// issued when it is registered.
 func (s *Server) newJobLocked(specs []wideleak.RunSpec, key string, concurrency int, batch bool) *Job {
-	job := &Job{
+	return &Job{
 		Key:         key,
 		Specs:       specs,
 		batch:       batch,
@@ -379,34 +391,36 @@ func (s *Server) newJobLocked(specs []wideleak.RunSpec, key string, concurrency 
 		state:       JobQueued,
 		submitted:   time.Now(),
 	}
-	if batch {
+}
+
+// registerLocked issues the job's ID — s000001-<key prefix> for a
+// study, b000001 for a batch, one sequence each — and adds it to the
+// table; the caller holds s.mu. Only registered jobs take a sequence
+// number, so every number up to the last one issued named a job.
+func (s *Server) registerLocked(job *Job) {
+	if job.batch {
 		s.batchSeq++
 		job.ID = fmt.Sprintf("b%06d", s.batchSeq)
 	} else {
 		s.seq++
-		job.ID = fmt.Sprintf("s%06d-%.8s", s.seq, key)
+		job.ID = fmt.Sprintf("s%06d-%.8s", s.seq, job.Key)
 	}
-	return job
+	s.jobs.Add(job)
 }
 
-// registerLocked adds a job to the table; the caller holds s.mu.
-func (s *Server) registerLocked(job *Job) {
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job)
-}
-
-// enqueueLocked hands a job to the worker pool and registers it. A full
+// enqueueLocked registers a job and hands it to the worker pool. A full
 // queue sheds the job instead: it is never registered, and the caller
 // answers with writeShed. The caller holds s.mu (so the queue is open).
 func (s *Server) enqueueLocked(job *Job) bool {
-	select {
-	case s.queue <- job:
-		s.registerLocked(job)
-		return true
-	default:
+	// Every send happens under s.mu, so a queue with room now still has
+	// room after the job is registered.
+	if len(s.queue) == cap(s.queue) {
 		s.metrics.addShed()
 		return false
 	}
+	s.registerLocked(job)
+	s.queue <- job
+	return true
 }
 
 // writeShed answers a submission the full queue refused.
@@ -416,16 +430,28 @@ func writeShed(w http.ResponseWriter) {
 }
 
 // lookup resolves the {id} path value to a study (batch false) or a
-// batch (batch true), answering 404 when there is none.
+// batch (batch true). It answers 410 for an ID this server issued and
+// has since dropped from its job table, and 404 for any other unknown
+// ID.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request, batch bool) *Job {
+	id := r.PathValue("id")
+	prefix, seq := "s", &s.seq
+	if batch {
+		prefix, seq = "b", &s.batchSeq
+	}
 	s.mu.Lock()
-	job := s.jobs[r.PathValue("id")]
+	job, ok := s.jobs.Get(id)
+	issued := *seq
 	s.mu.Unlock()
-	if job == nil || job.batch != batch {
-		httpkit.WriteError(w, http.StatusNotFound, "no such "+noun(batch))
+	if ok && job.batch == batch {
+		return job
+	}
+	if n, ok := httpkit.IDSeq(id, prefix); ok && n <= issued {
+		httpkit.WriteError(w, http.StatusGone, noun(batch)+" "+id+" is over and no longer held")
 		return nil
 	}
-	return job
+	httpkit.WriteError(w, http.StatusNotFound, "no such "+noun(batch))
+	return nil
 }
 
 // Handler returns the HTTP API.
@@ -536,8 +562,9 @@ func (s *Server) handleList(batch bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var out []any
 		s.mu.Lock()
-		for i := len(s.order) - 1; i >= 0; i-- {
-			if job := s.order[i]; job.batch == batch {
+		jobs := s.jobs.All()
+		for i := len(jobs) - 1; i >= 0; i-- {
+			if job := jobs[i]; job.batch == batch {
 				out = append(out, job.status())
 			}
 		}

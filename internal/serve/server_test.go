@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -559,5 +560,99 @@ func TestServer_List(t *testing.T) {
 	}
 	if len(list) != 2 || list[0].ID != b.ID || list[1].ID != a.ID {
 		t.Fatalf("list = %+v, want [%s %s]", list, b.ID, a.ID)
+	}
+}
+
+// TestServer_JobRetention: past the job-table bound, registering a job
+// drops the oldest terminal record, whose ID then answers 410 on every
+// endpoint. An ID the server never issued answers 404, and a live job
+// is never dropped, however many terminal ones come after it.
+func TestServer_JobRetention(t *testing.T) {
+	const bound = 3
+	liveSpec := smallSpec()
+	liveSpec.Seed = "serve-test-retention-live"
+	gate := make(chan struct{})
+	srv := New(Config{Workers: 1, QueueSize: 4})
+	srv.jobs = newJobTable(bound)
+	srv.testHookJobStart = func(j *Job) {
+		if j.Specs[0].Seed == liveSpec.Seed {
+			<-gate
+		}
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+	status := func(method, path string) int {
+		t.Helper()
+		req, _ := http.NewRequest(method, ts.URL+path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	first := submit(t, ts, smallSpec(), http.StatusAccepted)
+	waitTerminal(t, ts, first.ID)
+	live := submit(t, ts, liveSpec, http.StatusAccepted)
+	waitInFlight(t, srv, 1)
+	var hits []string
+	for i := 0; i < bound; i++ {
+		hits = append(hits, submit(t, ts, smallSpec(), http.StatusOK).ID)
+	}
+
+	// Records in submission order: first, live, hits[0..2]. Two terminal
+	// ones had to go: first, then hits[0], skipping the live job.
+	for _, id := range []string{first.ID, hits[0]} {
+		for _, path := range []string{"", "/table", "/events", "/events?stream=1"} {
+			if got := status(http.MethodGet, "/v1/studies/"+id+path); got != http.StatusGone {
+				t.Errorf("GET %s%s = %d, want 410", id, path, got)
+			}
+		}
+		if got := status(http.MethodDelete, "/v1/studies/"+id); got != http.StatusGone {
+			t.Errorf("DELETE %s = %d, want 410", id, got)
+		}
+	}
+	if st := getStatus(t, ts, live.ID); st.State.terminal() {
+		t.Errorf("live job %s is %s, want it live and held", live.ID, st.State)
+	}
+	for _, id := range hits[1:] {
+		if got := status(http.MethodGet, "/v1/studies/"+id+"/table"); got != http.StatusOK {
+			t.Errorf("GET %s/table = %d, want 200", id, got)
+		}
+	}
+	for _, path := range []string{"/v1/studies/s999999-00000000", "/v1/studies/x000001",
+		"/v1/batches/b000001", "/v1/batches/" + hits[1]} {
+		if got := status(http.MethodGet, path); got != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, got)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/studies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []StudyStatus
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, st := range list {
+		ids = append(ids, st.ID)
+	}
+	if want := []string{hits[2], hits[1], live.ID}; !slices.Equal(ids, want) {
+		t.Errorf("listing = %v, want %v", ids, want)
+	}
+
+	close(gate)
+	if st := waitTerminal(t, ts, live.ID); st.State != JobDone {
+		t.Errorf("live job ended %s", st.State)
 	}
 }

@@ -2,6 +2,7 @@ package wideleak
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -74,38 +75,85 @@ var privateKeyBudget = map[string][2]int64{
 // default sequential Table I pass, row by row. RSA is the bulk of a
 // computed study's CPU, and determinism makes the count exact, so an
 // extra license exchange fails here instead of drifting a benchmark.
-// The counters are process-wide: this test must not run alongside a
-// parallel one.
+//
+// It also pins what the private-key memo saves. Every world of a seed
+// replays the same exchanges on the same inputs, so the first world of
+// a seed computes every operation and a second world of that seed
+// computes none, with the same calls and the same table bytes. The
+// counters and the memo are process-wide: the seed is used by no other
+// test (nor by an earlier -count run of this one), and this test must
+// not run alongside a parallel one.
+// budgetRuns numbers TestTableI_PrivateKeyBudget's runs in this process.
+var budgetRuns int
+
 func TestTableI_PrivateKeyBudget(t *testing.T) {
-	w, err := NewWorld("test", nil)
-	if err != nil {
-		t.Fatal(err)
+	budgetRuns++
+	seed := fmt.Sprintf("private-key-budget-%d", budgetRuns)
+	pool := NewKeyPool(seed)
+	newStudy := func() *Study {
+		w, err := NewWorld(seed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AttachKeyPool(pool); err != nil {
+			t.Fatal(err)
+		}
+		return NewStudy(w)
 	}
-	// Share the keys sharedStudy mints: the budget does not depend on
-	// where a key comes from.
-	if err := w.AttachKeyPool(sharedStudy(t).World.Registry.KeyPool()); err != nil {
-		t.Fatal(err)
+	// ops reports the calls since (sign0, decrypt0) and how many of them
+	// an exponentiation computed.
+	type ops struct{ sign, decrypt, signComputed, decryptComputed int64 }
+	counters := func() ops {
+		sign, decrypt := wvcrypto.PrivateKeyOps()
+		signHits, decryptHits := wvcrypto.PrivateKeyMemoHits()
+		return ops{sign, decrypt, sign - signHits, decrypt - decryptHits}
 	}
-	s := NewStudy(w)
+	since := func(before ops) ops {
+		now := counters()
+		return ops{now.sign - before.sign, now.decrypt - before.decrypt,
+			now.signComputed - before.signComputed, now.decryptComputed - before.decryptComputed}
+	}
+
+	s := newStudy()
 	for pass, wantTotal := range []int64{27, 22} {
 		s.ResetObservations()
-		var total int64
-		for _, p := range w.Profiles() {
-			sign0, decrypt0 := wvcrypto.PrivateKeyOps()
+		start := counters()
+		for _, p := range s.World.Profiles() {
+			before := counters()
 			if _, err := s.buildRowGraceful(context.Background(), p.Name); err != nil {
 				t.Fatal(err)
 			}
-			sign1, decrypt1 := wvcrypto.PrivateKeyOps()
-			sign, decrypt := sign1-sign0, decrypt1-decrypt0
-			if want := privateKeyBudget[p.Name][pass]; sign != want || decrypt != want {
+			got := since(before)
+			if want := privateKeyBudget[p.Name][pass]; got.sign != want || got.decrypt != want {
 				t.Errorf("pass %d, %s: %d SignPSS + %d DecryptOAEP, want %d + %d",
-					pass, p.Name, sign, decrypt, want, want)
+					pass, p.Name, got.sign, got.decrypt, want, want)
 			}
-			total += sign
 		}
-		if total != wantTotal {
-			t.Errorf("pass %d made %d SignPSS, want %d", pass, total, wantTotal)
+		got := since(start)
+		if got.sign != wantTotal {
+			t.Errorf("pass %d made %d SignPSS, want %d", pass, got.sign, wantTotal)
 		}
+		if pass == 0 && (got.signComputed != wantTotal || got.decryptComputed != wantTotal) {
+			t.Errorf("first pass of a new seed computed %d SignPSS + %d DecryptOAEP, want all %d + %d",
+				got.signComputed, got.decryptComputed, wantTotal, wantTotal)
+		}
+	}
+
+	before := counters()
+	table, err := newStudy().BuildTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := since(before)
+	if got.sign != 27 || got.decrypt != 27 {
+		t.Errorf("second world made %d SignPSS + %d DecryptOAEP, want 27 + 27", got.sign, got.decrypt)
+	}
+	if got.signComputed != 0 || got.decryptComputed != 0 {
+		t.Errorf("second world of the seed computed %d SignPSS + %d DecryptOAEP, want 0 + 0",
+			got.signComputed, got.decryptComputed)
+	}
+	if text := table.Render() + "\n" + table.Summarize().Render(); text != golden(t, "tableI_default.txt") {
+		t.Errorf("second world of the seed diverged from the golden table:\n%s", text)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wvcrypto
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/rsa"
 	"crypto/sha1"
@@ -114,27 +115,56 @@ func randomPrime(rand io.Reader, bits int) (*big.Int, error) {
 
 // signPSSCalls and decryptOAEPCalls count the Device RSA private-key
 // operations made through this package, the dominant cost of a computed
-// study; see PrivateKeyOps.
-var signPSSCalls, decryptOAEPCalls atomic.Int64
+// study; see PrivateKeyOps. signPSSHits and decryptOAEPHits count the
+// calls among them that the private-key memo answered.
+var signPSSCalls, decryptOAEPCalls, signPSSHits, decryptOAEPHits atomic.Int64
 
 // PrivateKeyOps reports how many SignPSS and DecryptOAEP calls this
-// process has made so far, successful or not.
+// process has made so far, successful or not, memo hits included.
 func PrivateKeyOps() (sign, decrypt int64) {
 	return signPSSCalls.Load(), decryptOAEPCalls.Load()
 }
 
+// PrivateKeyMemoHits reports how many of the SignPSS and DecryptOAEP
+// calls counted by PrivateKeyOps the private-key memo answered without
+// an exponentiation. Calls minus hits is the RSA work actually done.
+func PrivateKeyMemoHits() (sign, decrypt int64) {
+	return signPSSHits.Load(), decryptOAEPHits.Load()
+}
+
+// pssSaltLen is the RSASSA-PSS salt length: PSSSaltLengthEqualsHash
+// with SHA-256.
+const pssSaltLen = sha256.Size
+
 // SignPSS signs the SHA-256 digest of msg with RSASSA-PSS, the signature
 // scheme OEMCrypto uses for license requests once a Device RSA key is
 // provisioned.
+//
+// The signature is a pure function of the key, the digest and the
+// 32-byte salt read from rand, so it is memoized on exactly those
+// (see privateMemo). The salt is read here, the way crypto/rsa reads it
+// (one io.ReadFull, no MaybeReadByte), and handed to crypto/rsa through
+// a bytes.Reader, so rand advances by the same 32 bytes on a hit as on
+// a computed signature.
 func SignPSS(rand io.Reader, key *rsa.PrivateKey, msg []byte) ([]byte, error) {
 	signPSSCalls.Add(1)
 	digest := sha256.Sum256(msg)
-	sig, err := rsa.SignPSS(rand, key, crypto.SHA256, digest[:], &rsa.PSSOptions{
+	salt := make([]byte, pssSaltLen)
+	if _, err := io.ReadFull(rand, salt); err != nil {
+		return nil, fmt.Errorf("wvcrypto: pss sign: %w", err)
+	}
+	id := memoKey(memoSignPSS, key, digest[:], salt)
+	if sig, ok := privateKeyMemo.get(id); ok {
+		signPSSHits.Add(1)
+		return sig, nil
+	}
+	sig, err := rsa.SignPSS(bytes.NewReader(salt), key, crypto.SHA256, digest[:], &rsa.PSSOptions{
 		SaltLength: rsa.PSSSaltLengthEqualsHash,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("wvcrypto: pss sign: %w", err)
 	}
+	privateKeyMemo.put(id, sig)
 	return sig, nil
 }
 
@@ -159,13 +189,21 @@ func EncryptOAEP(rand io.Reader, pub *rsa.PublicKey, plaintext []byte) ([]byte, 
 }
 
 // DecryptOAEP recovers an OAEP-encrypted session key with the Device RSA
-// private key.
+// private key. The plaintext is a pure function of the key and the
+// ciphertext, so it is memoized on exactly those (see privateMemo); a
+// ciphertext that fails to decrypt fails on every call.
 func DecryptOAEP(key *rsa.PrivateKey, ciphertext []byte) ([]byte, error) {
 	decryptOAEPCalls.Add(1)
+	id := memoKey(memoDecryptOAEP, key, ciphertext)
+	if out, ok := privateKeyMemo.get(id); ok {
+		decryptOAEPHits.Add(1)
+		return out, nil
+	}
 	out, err := rsa.DecryptOAEP(sha1.New(), nil, key, ciphertext, nil)
 	if err != nil {
 		return nil, fmt.Errorf("wvcrypto: oaep decrypt: %w", err)
 	}
+	privateKeyMemo.put(id, out)
 	return out, nil
 }
 

@@ -57,7 +57,9 @@ bench-guard:
 
 # fuzz runs the native fuzz targets over the parsers that consume
 # attacker-controlled bytes, the TEE world-boundary frame decoder among
-# them, the RSA keygen small-prime filter against its big.Int
+# them, the manifest parse memo against a direct decode (FuzzParseMemo:
+# two parses through the memo, the first answer mutated in between, each
+# equal to the dialect's own decode), the RSA keygen small-prime filter against its big.Int
 # reference, FuzzRunSpec (RunSpec decode + Canonicalize: idempotent
 # canonical bytes, stable Key and WorldKey — what fleet failover
 # replays) and FuzzBackend (an OTT deployment's license and provisioning
@@ -68,6 +70,7 @@ fuzz:
 	$(GO) test ./internal/dash -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hls -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sstr -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/manifest -run '^$$' -fuzz '^FuzzParseMemo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mp4 -run '^$$' -fuzz '^FuzzParseInitSegment$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mp4 -run '^$$' -fuzz '^FuzzParseMediaSegment$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oemcrypto -run '^$$' -fuzz '^FuzzTrustletFrame$$' -fuzztime $(FUZZTIME)

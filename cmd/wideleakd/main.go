@@ -25,6 +25,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/httpkit"
 	"repro/internal/serve"
 )
 
@@ -88,7 +89,7 @@ func run(args []string, ready func(addr string)) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := httpkit.NewServer(srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

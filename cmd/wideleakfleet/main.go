@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/httpkit"
 	"repro/internal/serve"
 )
 
@@ -108,7 +109,7 @@ func run(args []string, ready func(addr string)) error {
 		router.Close()
 		return err
 	}
-	httpSrv := &http.Server{Handler: router.Handler()}
+	httpSrv := httpkit.NewServer(router.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -3,6 +3,7 @@ package dash
 import (
 	"errors"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -266,5 +267,64 @@ func TestSegmentTemplate_XMLRoundTrip(t *testing.T) {
 	tpl := got.Periods[0].AdaptationSets[0].Representations[0].SegmentTemplate
 	if tpl == nil || tpl.StartNumber != 5 || tpl.Media != "$RepresentationID$/$Number$.m4s" {
 		t.Errorf("template roundtrip = %+v", tpl)
+	}
+}
+
+// sharedMemory walks two values of one type in parallel and reports the
+// path of the first pointer or non-empty slice they share.
+func sharedMemory(a, b reflect.Value, path string) string {
+	switch a.Kind() {
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return ""
+		}
+		if a.Pointer() == b.Pointer() {
+			return path
+		}
+		return sharedMemory(a.Elem(), b.Elem(), path)
+	case reflect.Slice:
+		if a.Len() > 0 && b.Len() > 0 && a.Pointer() == b.Pointer() {
+			return path
+		}
+		for i := 0; i < a.Len() && i < b.Len(); i++ {
+			if p := sharedMemory(a.Index(i), b.Index(i), path+"["+strconv.Itoa(i)+"]"); p != "" {
+				return p
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if p := sharedMemory(a.Field(i), b.Field(i), path+"."+a.Type().Field(i).Name); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
+}
+
+// Clone is deep: the copy deep-equals the original (nil and empty slices
+// kept apart) and shares no pointer or slice with it. The walk covers
+// every field by reflection, so a field added to the model later is
+// checked too.
+func TestClone_Deep(t *testing.T) {
+	m := sampleMPD()
+	m.XMLName.Local = "MPD"
+	set := &m.Periods[0].AdaptationSets[0]
+	set.Representations = append(set.Representations, Representation{
+		ID:                 "v720",
+		ContentProtections: []ContentProtection{},
+		SegmentTemplate:    &SegmentTemplate{Initialization: "init.mp4", Media: "$Number$.m4s", SegmentCount: 3},
+	})
+	c := m.Clone()
+	if !reflect.DeepEqual(c, m) {
+		t.Fatalf("clone differs:\n got %+v\nwant %+v", c, m)
+	}
+	if p := sharedMemory(reflect.ValueOf(c), reflect.ValueOf(m), "MPD"); p != "" {
+		t.Errorf("clone shares %s with the original", p)
+	}
+	if got := c.Periods[0].AdaptationSets[0].Representations[2].ContentProtections; got == nil {
+		t.Error("clone turned an empty slice into nil")
+	}
+	if got := c.Periods[0].AdaptationSets[1].ContentProtections; got != nil {
+		t.Error("clone turned a nil slice into an empty one")
 	}
 }

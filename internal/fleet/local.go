@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 
+	"repro/internal/httpkit"
 	"repro/internal/serve"
 )
 
@@ -42,7 +43,7 @@ func SpawnLocal(n int, cfg serve.Config) ([]*LocalReplica, error) {
 			ID:      fmt.Sprintf("r%d", i),
 			URL:     "http://" + ln.Addr().String(),
 			server:  srv,
-			httpSrv: &http.Server{Handler: srv.Handler()},
+			httpSrv: httpkit.NewServer(srv.Handler()),
 			ln:      ln,
 		}
 		go rep.httpSrv.Serve(ln)
@@ -118,7 +119,7 @@ func StartLocal(n int, cfg serve.Config, opts Options) (*Local, error) {
 		URL:      "http://" + ln.Addr().String(),
 		Router:   router,
 		Replicas: replicas,
-		httpSrv:  &http.Server{Handler: router.Handler()},
+		httpSrv:  httpkit.NewServer(router.Handler()),
 		ln:       ln,
 	}
 	go f.httpSrv.Serve(ln)

@@ -761,6 +761,10 @@ func (rt *Router) handleStudy(suffix string) http.HandlerFunc {
 		}
 		part := job.parts[0]
 		resp, rep, err := rt.proxy(r.Context(), job, part, r.Method, path)
+		if err != nil && r.Method == http.MethodGet && part.isCancelled() {
+			relayCancelledStudy(w, r, job, suffix, err)
+			return
+		}
 		if err != nil {
 			rt.fail(w, err)
 			return
@@ -783,6 +787,33 @@ func (rt *Router) handleStudy(suffix string) http.HandlerFunc {
 			}
 		}
 	}
+}
+
+// relayCancelledStudy answers a read of a cancelled study whose replica
+// cannot be reached. The study never runs again, so it cannot end any
+// other way: the router answers as that replica would for a canceled
+// study (status canceled, table 409, an event log with no frames) and
+// counts the part over. err says why the replica was not read.
+func relayCancelledStudy(w http.ResponseWriter, r *http.Request, job *fleetJob, suffix string, err error) {
+	part := job.parts[0]
+	repID, _ := part.location()
+	w.Header().Set(HeaderReplica, repID)
+	switch suffix {
+	case "":
+		st := serve.StudyStatus{ID: job.id, State: serve.JobCanceled, Error: err.Error()}
+		// The body is the canonical spec the router encoded at submit.
+		_ = json.Unmarshal(part.body, &st.Request)
+		httpkit.WriteJSON(w, http.StatusOK, st)
+	case "/table":
+		httpkit.WriteError(w, http.StatusConflict, "study is "+string(serve.JobCanceled)+", not done")
+	default:
+		if r.URL.Query().Get("stream") == "" {
+			httpkit.WriteJSON(w, http.StatusOK, []json.RawMessage{})
+		} else if stream, ok := httpkit.NewEventStream(w); ok {
+			stream.Done(string(serve.JobCanceled))
+		}
+	}
+	part.markOver()
 }
 
 // relayResponse copies a replica response to the client, flushing

@@ -516,6 +516,67 @@ func TestRouter_CancelNeverResubmits(t *testing.T) {
 	}
 }
 
+// TestRouter_StudyCancelOnDeadReplica: after a DELETE on a study whose
+// replica died, reads report it canceled (status canceled, table 409,
+// an event log that ends canceled) instead of 503 on every read, rerun
+// nothing, and let the router drop the record like any finished job.
+func TestRouter_StudyCancelOnDeadReplica(t *testing.T) {
+	f := startFleetOpts(t, 2, serve.Config{Workers: 1}, Options{HealthInterval: time.Hour})
+	f.Router.mu.Lock()
+	f.Router.jobs = newJobTable(1)
+	f.Router.mu.Unlock()
+	spec := wideleak.RunSpec{Seed: "study-cancel-dead", Profiles: []string{"Showtime"}, Probes: []string{"q2"}}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := f.Router.OwnerOf(worldKeyOf(t, spec))
+	sub, _ := fleetSubmit(t, f.URL, string(body), http.StatusAccepted)
+	f.Replica(owner).Kill()
+
+	get := func(method, suffix string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, f.URL+"/v1/studies/"+sub.ID+suffix, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return resp.StatusCode, buf.String()
+	}
+	if code, _ := get(http.MethodDelete, ""); code != http.StatusServiceUnavailable {
+		t.Fatalf("DELETE on a dead replica = %d, want 503", code)
+	}
+
+	st, _ := getFleetStatus(t, f.URL, sub.ID)
+	if st.State != string(serve.JobCanceled) || st.ID != sub.ID {
+		t.Errorf("status after a cancel on a dead replica: id %s, state %s; want %s, canceled", st.ID, st.State, sub.ID)
+	}
+	if code, out := get(http.MethodGet, "/table"); code != http.StatusConflict {
+		t.Errorf("GET /table = %d (%s), want 409", code, out)
+	}
+	if code, out := get(http.MethodGet, "/events"); code != http.StatusOK || strings.TrimSpace(out) != "[]" {
+		t.Errorf("GET /events = %d %q, want 200 []", code, out)
+	}
+	if code, out := get(http.MethodGet, "/events?stream=1"); code != http.StatusOK || !strings.Contains(out, "event: done") || !strings.Contains(out, `"canceled"`) {
+		t.Errorf("GET /events?stream=1 = %d %q, want a stream ending done canceled", code, out)
+	}
+	if n := f.Router.Metrics().Failovers(); n != 0 {
+		t.Errorf("failovers_total = %d, want 0: a cancelled study is never rerun", n)
+	}
+
+	// The reads showed the study over, so the next record displaces it.
+	fleetSubmit(t, f.URL, `{"seed":"study-cancel-dead-next","profiles":["Showtime"],"probes":["q2"]}`, http.StatusAccepted)
+	if code, _ := get(http.MethodGet, ""); code != http.StatusGone {
+		t.Errorf("GET of the cancelled study after a newer submit = %d, want 410 (record dropped)", code)
+	}
+}
+
 // TestRouter_ListBatches: GET /v1/batches through the router lists every
 // replica's batches, as GET /v1/studies lists their studies.
 func TestRouter_ListBatches(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package httpkit is the small HTTP and metrics toolkit shared by the
 // study daemon (internal/serve) and the fleet router (internal/fleet):
-// JSON responses, strict JSON request bodies, server-sent-event frames,
-// and hand-rolled Prometheus text exposition. It is stdlib-only.
+// the HTTP server with its read limits, JSON responses, strict JSON
+// request bodies, server-sent-event frames, and hand-rolled Prometheus
+// text exposition. It is stdlib-only.
 package httpkit
 
 import (
@@ -10,7 +11,24 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"time"
 )
+
+// Read limits of every HTTP server in the repository. A client must
+// finish its request headers within ReadHeaderTimeout, and a kept-alive
+// connection is closed after IdleTimeout without a request (longer than
+// the 90 s after which Go's default client transport drops an idle
+// connection itself). There is no write timeout: event streams stay
+// open for as long as their job runs.
+const (
+	ReadHeaderTimeout = 5 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewServer returns an HTTP server for h with the read limits set.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
 
 // WriteJSON writes v as a JSON response with the given status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {

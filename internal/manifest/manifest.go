@@ -43,18 +43,21 @@ type Dialect interface {
 	SegmentURLs(b []byte) ([]string, error)
 }
 
-// registry holds dialects in registration order (dash first).
+// registry holds dialects in registration order (dash first), each
+// behind the parse memo.
 var registry []Dialect
 
 // Register adds a dialect; duplicate names or extensions panic at init
-// time (registration is package wiring, not runtime input).
+// time (registration is package wiring, not runtime input). Every
+// lookup (ByName, ByExtension, ParseAny) hands out the dialect with its
+// Parse behind the process-wide parse memo.
 func Register(d Dialect) {
 	for _, have := range registry {
 		if have.Name() == d.Name() || have.Extension() == d.Extension() {
 			panic(fmt.Sprintf("manifest: duplicate dialect registration %q/%q", d.Name(), d.Extension()))
 		}
 	}
-	registry = append(registry, d)
+	registry = append(registry, memoized{d})
 }
 
 // Names lists registered dialect names in registration order.

@@ -12,7 +12,7 @@ import (
 
 // packagerMPD produces a real packaged manifest — the exact canonical
 // shape the CDN stores — under the given key policy.
-func packagerMPD(t *testing.T, policy media.KeyPolicy) *dash.MPD {
+func packagerMPD(t testing.TB, policy media.KeyPolicy) *dash.MPD {
 	t.Helper()
 	rand := wvcrypto.NewDeterministicReader("manifest-test")
 	tracks := media.GenerateTitle("movie-1", media.DefaultGenerateOptions())

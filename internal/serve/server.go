@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/httpkit"
+	"repro/internal/lru"
 	"repro/internal/netsim"
 	"repro/internal/provision"
 	"repro/internal/wideleak"
@@ -105,13 +106,13 @@ type Server struct {
 	// cache is tier 1: canonical request key (wideleak.RunSpec.Key) →
 	// fully encoded job result. Identical canonical requests are served
 	// from here without re-running any device work.
-	cache *lruCache[*jobResult]
+	cache *lru.Cache[string, *jobResult]
 
 	// pools is the warm tier below the result and cell caches: the
 	// per-seed Device RSA key pools shared by every job of a seed. A
 	// world is cheap to build; its provisioned device keys are not, so a
 	// tier-1 miss on a known seed builds its world and re-mints nothing.
-	pools *lruCache[*provision.KeyPool]
+	pools *lru.Cache[string, *provision.KeyPool]
 
 	// cells is the sub-result memoization tier between the result cache
 	// and the key pools: completed (world, profile, probe) outcomes by
@@ -141,8 +142,8 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:    cfg,
-		cache:  newLRUCache[*jobResult](cfg.CacheSize),
-		pools:  newLRUCache[*provision.KeyPool](keyPoolSeeds),
+		cache:  lru.New[string, *jobResult](cfg.CacheSize),
+		pools:  lru.New[string, *provision.KeyPool](keyPoolSeeds),
 		cells:  wideleak.NewCellCache(cfg.CellCacheSize),
 		jobs:   newJobTable(maxJobRecords),
 		active: make(map[string]*Job),
@@ -247,7 +248,7 @@ func (s *Server) runJob(job *Job) {
 	switch {
 	case err == nil:
 		if job.Key != "" {
-			s.cache.put(job.Key, res)
+			s.cache.Put(job.Key, res)
 		}
 		job.finish(JobDone, res, "")
 	case errors.Is(err, context.Canceled):
@@ -262,7 +263,7 @@ func (s *Server) runJob(job *Job) {
 // seed shares one pool, so 2048-bit keys are generated at most once per
 // (seed, device) for the server's lifetime — modulo LRU eviction.
 func (s *Server) keyPool(seed string) *provision.KeyPool {
-	return s.pools.getOrPut(seed, func() *provision.KeyPool { return wideleak.NewKeyPool(seed) })
+	return s.pools.GetOrPut(seed, func() *provision.KeyPool { return wideleak.NewKeyPool(seed) })
 }
 
 // buildStudy builds a spec's study and attaches the seed's shared key
@@ -510,7 +511,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// without any device work — the job is born done, carrying the
 	// producing run's frames. The provenance headers let a fleet harness
 	// attribute the hit to its cache tier.
-	if res := s.cache.get(key); res != nil {
+	if res, ok := s.cache.Get(key); ok {
 		job := s.newJobLocked([]wideleak.RunSpec{canonical}, key, 0, false)
 		job.cached = true
 		job.state = JobDone

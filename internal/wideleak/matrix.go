@@ -1,13 +1,14 @@
 package wideleak
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/lru"
 	"repro/internal/netsim"
 	"repro/internal/wideleak/probe"
 )
@@ -48,23 +49,14 @@ type CellOutcome struct {
 // batches: a probe-subset request whose cells are all resident is
 // reassembled without building a world or touching a device.
 type CellCache struct {
-	mu       sync.Mutex
-	capacity int
-	ll       *list.List
-	idx      map[string]*list.Element
-	hits     int64
-	misses   int64
-}
-
-type cellCacheEntry struct {
-	key string
-	out *CellOutcome
+	lru          *lru.Cache[string, *CellOutcome]
+	hits, misses atomic.Int64
 }
 
 // NewCellCache returns an LRU holding up to capacity cell outcomes.
 // Capacity <= 0 disables storage (every Get misses).
 func NewCellCache(capacity int) *CellCache {
-	return &CellCache{capacity: capacity, ll: list.New(), idx: make(map[string]*list.Element)}
+	return &CellCache{lru: lru.New[string, *CellOutcome](capacity)}
 }
 
 // Get returns the outcome for a cell key, marking it most recently used.
@@ -72,35 +64,20 @@ func (c *CellCache) Get(key string) (*CellOutcome, bool) {
 	if c == nil {
 		return nil, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.idx[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*cellCacheEntry).out, true
+	out, ok := c.lru.Get(key)
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
 	}
-	c.misses++
-	return nil, false
+	return out, ok
 }
 
 // Put stores a cell outcome, evicting the least recently used entry
 // beyond capacity.
 func (c *CellCache) Put(key string, out *CellOutcome) {
-	if c == nil || c.capacity <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.idx[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cellCacheEntry).out = out
-		return
-	}
-	c.idx[key] = c.ll.PushFront(&cellCacheEntry{key: key, out: out})
-	for c.ll.Len() > c.capacity {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.idx, last.Value.(*cellCacheEntry).key)
+	if c != nil {
+		c.lru.Put(key, out)
 	}
 }
 
@@ -109,9 +86,7 @@ func (c *CellCache) Len() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.lru.Len()
 }
 
 // Stats reports lifetime hit/miss counters.
@@ -119,9 +94,7 @@ func (c *CellCache) Stats() (hits, misses int64) {
 	if c == nil {
 		return 0, 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.hits.Load(), c.misses.Load()
 }
 
 // RowUpdate is delivered to BatchOptions.OnRow as each spec's row

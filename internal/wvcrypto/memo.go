@@ -1,12 +1,12 @@
 package wvcrypto
 
 import (
-	"container/list"
 	"crypto/rsa"
 	"crypto/sha256"
 	"encoding/binary"
 	"math/big"
-	"sync"
+
+	"repro/internal/lru"
 )
 
 // privateMemoEntries bounds the private-key memo. One default Table I
@@ -34,65 +34,51 @@ const (
 // that private key, with those inputs, can reach it.
 var privateKeyMemo = newPrivateMemo(privateMemoEntries)
 
+// keyParseMemoEntries bounds the key-parse memo: a seed's worlds
+// provision 27 distinct Device RSA keys, and the study daemon keeps the
+// key pools of 16 seeds (serve's keyPoolSeeds), so 27 × 16 = 432 keys.
+// A parsed 2048-bit key with its CRT precomputation holds about 4.4 KB
+// of heap, plus about 150 B of LRU bookkeeping per entry, so the full
+// memo holds about 2 MB.
+const keyParseMemoEntries = 27 * 16
+
+// keyParseMemo is the process-wide memo behind ParseRSAPrivateKey, by
+// SHA-256 of the DER. A device's key is a pure function of the seed and
+// the device, so every world of a seed provisions the same DERs, and
+// its CDMs parse each when they load it; after a seed's first world
+// every parse is a hit. Nothing in the repository modifies a parsed
+// key; the key pool already hands one key to every world of its seed.
+var keyParseMemo = lru.New[[sha256.Size]byte, *rsa.PrivateKey](keyParseMemoEntries)
+
 // privateMemo is a bounded LRU of private-key results by memo key. It
 // holds only results crypto/rsa returned without error (a signature
 // after its re-encryption check, a plaintext after the OAEP padding
 // check), and hands out copies.
 type privateMemo struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[[sha256.Size]byte]*list.Element
-	order   *list.List // of *memoEntry; front = most recently used
-}
-
-type memoEntry struct {
-	key [sha256.Size]byte
-	out []byte
+	lru *lru.Cache[[sha256.Size]byte, []byte]
 }
 
 func newPrivateMemo(capacity int) *privateMemo {
-	return &privateMemo{
-		cap:     capacity,
-		entries: make(map[[sha256.Size]byte]*list.Element),
-		order:   list.New(),
-	}
+	return &privateMemo{lru: lru.New[[sha256.Size]byte, []byte](capacity)}
 }
 
 // get returns a copy of the stored result for key.
 func (m *privateMemo) get(key [sha256.Size]byte) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.entries[key]
+	out, ok := m.lru.Get(key)
 	if !ok {
 		return nil, false
 	}
-	m.order.MoveToFront(el)
-	return append([]byte{}, el.Value.(*memoEntry).out...), true
+	return append([]byte{}, out...), true
 }
 
 // put stores a copy of out under key, evicting the least recently used
 // entry past the bound.
 func (m *privateMemo) put(key [sha256.Size]byte, out []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.entries[key]; ok {
-		m.order.MoveToFront(el)
-		return
-	}
-	m.entries[key] = m.order.PushFront(&memoEntry{key: key, out: append([]byte(nil), out...)})
-	for m.order.Len() > m.cap {
-		oldest := m.order.Back()
-		m.order.Remove(oldest)
-		delete(m.entries, oldest.Value.(*memoEntry).key)
-	}
+	m.lru.Put(key, append([]byte(nil), out...))
 }
 
 // len reports the resident entry count.
-func (m *privateMemo) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.order.Len()
-}
+func (m *privateMemo) len() int { return m.lru.Len() }
 
 // memoKey hashes an operation, the whole private key (N, E and D) and
 // the operation's inputs into a memo key. Every part is length-prefixed,

@@ -214,12 +214,35 @@ func MarshalRSAPrivateKey(key *rsa.PrivateKey) []byte {
 	return x509.MarshalPKCS1PrivateKey(key)
 }
 
+// keyParseCalls counts ParseRSAPrivateKey calls, successful or not;
+// keyParseHits counts those the key-parse memo answered.
+var keyParseCalls, keyParseHits atomic.Int64
+
+// KeyParseMemoStats reports how many ParseRSAPrivateKey calls this
+// process has made and how many of them the key-parse memo answered
+// without decoding the DER.
+func KeyParseMemoStats() (calls, hits int64) {
+	return keyParseCalls.Load(), keyParseHits.Load()
+}
+
 // ParseRSAPrivateKey parses a PKCS#1 DER Device RSA key.
+//
+// The key is a pure function of the DER, so a DER this process has
+// parsed before is answered from the key-parse memo (see keyParseMemo)
+// with the key parsed then: callers share it and must not modify it.
+// DER that fails to parse fails on every call.
 func ParseRSAPrivateKey(der []byte) (*rsa.PrivateKey, error) {
+	keyParseCalls.Add(1)
+	id := sha256.Sum256(der)
+	if key, ok := keyParseMemo.Get(id); ok {
+		keyParseHits.Add(1)
+		return key, nil
+	}
 	key, err := x509.ParsePKCS1PrivateKey(der)
 	if err != nil {
 		return nil, fmt.Errorf("wvcrypto: parse rsa key: %w", err)
 	}
+	keyParseMemo.Put(id, key)
 	return key, nil
 }
 

@@ -38,9 +38,10 @@ test:
 
 race:
 	$(GO) test -race ./...
-	# The keypool's concurrency contract gets a dedicated -race pass:
-	# hammer tests exercise singleflight mints under contention.
-	$(GO) test -race -count=1 -run 'TestKeyPool' ./internal/provision
+	# The keypool's and the process-wide key store's concurrency contract
+	# gets a dedicated -race pass: hammer tests exercise singleflight
+	# mints and first use of one store pool under contention.
+	$(GO) test -race -count=1 -run 'TestKeyPool|TestKeyStore' ./internal/provision
 
 # bench runs the in-process benchmark suite declared in cmd/benchmerge
 # and records each entry's median over its runs into BENCH_inner.json,

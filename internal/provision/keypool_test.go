@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/rsa"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -167,5 +168,73 @@ func TestRegistryKeyPoolPath(t *testing.T) {
 	}
 	if got := cold.MintCount(); got != 1 {
 		t.Fatalf("cold MintCount = %d, want 1", got)
+	}
+
+	// A restored key stays in its registry: the pool may be shared.
+	cold.InstallRSAKey("PX-restored", key)
+	if got := cold.KeyPool().Size(); got != 1 {
+		t.Fatalf("InstallRSAKey reached the pool: Size = %d, want 1", got)
+	}
+}
+
+// storeRuns numbers TestKeyStoreConcurrentFirstUse's runs in this process.
+var storeRuns int
+
+// N goroutines asking the process-wide store for a mint root nobody has
+// used yet get one pool, and each key they request is minted once — in
+// that pool and in the process-wide count. Under -race this is the
+// store's data-race check (wired into `make race`). Each run in the
+// process uses a new root, so -count runs start cold too.
+func TestKeyStoreConcurrentFirstUse(t *testing.T) {
+	storeRuns++
+	label := fmt.Sprintf("keystore-test-root-%d", storeRuns)
+	root := func() *wvcrypto.DeterministicReader {
+		return wvcrypto.NewDeterministicReader(label).Fork("provision/rsa")
+	}
+	ids := []string{"PX-a", "PX-b"}
+	const callers = 8
+	before := KeysMinted()
+	pools := make([]*KeyPool, callers)
+	keys := make([][]*rsa.PrivateKey, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			pools[i] = SharedKeyPool(root())
+			for _, id := range ids {
+				key, err := pools[i].Key(id)
+				if err != nil {
+					t.Errorf("Key(%q): %v", id, err)
+					return
+				}
+				keys[i] = append(keys[i], key)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	pool := pools[0]
+	for i := 1; i < callers; i++ {
+		if pools[i] != pool {
+			t.Fatalf("caller %d got a second pool for one mint root", i)
+		}
+		for j := range ids {
+			if keys[i][j] != keys[0][j] {
+				t.Fatalf("caller %d got a second key for %q", i, ids[j])
+			}
+		}
+	}
+	if got := pool.Minted(); got != int64(len(ids)) {
+		t.Errorf("pool Minted = %d, want %d (one generation per device)", got, len(ids))
+	}
+	if got := KeysMinted() - before; got != int64(len(ids)) {
+		t.Errorf("KeysMinted moved by %d, want %d", got, len(ids))
+	}
+	if SharedKeyPool(poolRoot()) == pool {
+		t.Error("the store handed one pool to two mint roots")
 	}
 }

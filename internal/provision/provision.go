@@ -42,8 +42,8 @@ type Registry struct {
 
 	// pool, when installed, is the registry's RSA mint path: keys come
 	// from per-device deterministic forks (position-independent, so they
-	// may be pre-minted in the background or restored from a snapshot)
-	// instead of the provisioning server's shared stream.
+	// may be pre-minted in the background or shared by every world of a
+	// seed) instead of the provisioning server's shared stream.
 	pool *KeyPool
 
 	// mints counts the 2048-bit key generations performed on this
@@ -70,11 +70,10 @@ func NewRegistry() *Registry {
 	}
 }
 
-// UseKeyPool installs the registry's RSA mint pool: deviceRSA consults
-// it first, so pre-minted (or snapshot-restored) keys skip generation
-// entirely, and lazy mints draw from the pool's per-device deterministic
-// forks. Install before any provisioning traffic — switching mint
-// sources mid-world would change key material.
+// UseKeyPool installs the registry's RSA mint pool: pre-minted keys skip
+// generation entirely, and lazy mints draw from the pool's per-device
+// deterministic forks. Install before any provisioning traffic —
+// switching mint sources mid-world would change key material.
 func (r *Registry) UseKeyPool(pool *KeyPool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -95,16 +94,13 @@ func (r *Registry) KeyPool() *KeyPool {
 func (r *Registry) MintCount() int64 { return r.mints.Load() }
 
 // InstallRSAKey seeds a provisioned identity directly (the snapshot
-// restore path), bypassing generation. The key is also fed to the mint
-// pool when one is installed, so every later lookup path agrees.
+// restore path), bypassing generation. The key stays in this registry:
+// the mint pool may be shared with every world of the seed, and a wrong
+// key must not reach them.
 func (r *Registry) InstallRSAKey(stableID string, key *rsa.PrivateKey) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.rsaKeys[stableID] = key
-	pool := r.pool
-	r.mu.Unlock()
-	if pool != nil {
-		pool.Install(stableID, key)
-	}
 }
 
 // ExportRSAKeys returns every provisioned identity as PKCS#1 DER — the
@@ -165,9 +161,10 @@ func (r *Registry) RSAPublicKey(stableID string) (*rsa.PublicKey, bool) {
 // concurrent provisioning of different devices mints 2048-bit keys in
 // parallel.
 //
-// With a key pool installed, the pool is the mint path: a pre-minted or
-// snapshot-restored key is served with zero generation, and a lazy mint
-// draws from the pool's per-device fork — byte-identical either way.
+// A snapshot-restored key (InstallRSAKey) is served first. With a key
+// pool installed, the pool is the mint path: a pre-minted key is served
+// with zero generation, and a lazy mint draws from the pool's per-device
+// fork — byte-identical either way.
 // Without a pool, generation reads from the caller's stream (the legacy
 // position-dependent path, kept for direct registry users).
 func (r *Registry) deviceRSA(stableID string, rand io.Reader) (*rsa.PrivateKey, error) {

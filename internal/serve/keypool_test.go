@@ -54,13 +54,15 @@ func runDone(t *testing.T, ts *httptest.Server, spec wideleak.RunSpec) StudyStat
 // warmed seed builds its world, answers World-Cache "miss", and
 // provisions ZERO new device keys from the seed's key pool; a probe
 // subset whose cells are all memoized needs no world and answers "hit".
+// The seed is used by no other test, so its pool starts empty.
 func TestServer_WorldCacheTier(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
+	pool := wideleak.SharedKeyPool("world-tier")
 
 	// Cold run: all default probes over one app. Builds the world and
 	// mints its keys into the seed's pool.
 	cold := runDone(t, ts, wideleak.RunSpec{Seed: "world-tier", Profiles: []string{"Showtime"}})
-	coldMints := srv.metrics.RSAMinted()
+	coldMints := pool.Minted()
 	if coldMints == 0 {
 		t.Fatal("cold run minted no keys — the key-pool assertion would be vacuous")
 	}
@@ -72,7 +74,7 @@ func TestServer_WorldCacheTier(t *testing.T) {
 	// the cold run never primed its cells: the job builds its world and
 	// re-provisions nothing.
 	warm := runDone(t, ts, wideleak.RunSpec{Seed: "world-tier", Profiles: []string{"Showtime"}, Probes: []string{"q5"}})
-	if got := srv.metrics.RSAMinted(); got != coldMints {
+	if got := pool.Minted(); got != coldMints {
 		t.Errorf("warm run minted %d new keys, want 0", got-coldMints)
 	}
 	if warm.WorldCache != "miss" {
@@ -91,7 +93,7 @@ func TestServer_WorldCacheTier(t *testing.T) {
 	if got := worldCacheHeader(t, ts, memo.ID); got != "hit" {
 		t.Errorf("memoized subset %s = %q, want hit", HeaderWorldCache, got)
 	}
-	if got := srv.metrics.RSAMinted(); got != coldMints {
+	if got := pool.Minted(); got != coldMints {
 		t.Errorf("memoized subset minted %d new keys, want 0", got-coldMints)
 	}
 }
@@ -99,16 +101,18 @@ func TestServer_WorldCacheTier(t *testing.T) {
 // TestServer_WorldCacheFaultIsolation: a faulted request must NOT reuse
 // the fault-free run's cells (the fault schedule is world identity), yet
 // the key pool is per seed, so the faulted world of a warmed seed mints
-// zero keys.
+// zero keys. The seed is used by no other test, so its pool starts empty.
 func TestServer_WorldCacheFaultIsolation(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
 
 	clean := smallSpec()
-	faulted := smallSpec()
+	clean.Seed = "fault-isolation"
+	faulted := clean
 	faulted.Faults = &wideleak.RunFaults{Rate: 0.2}
+	pool := wideleak.SharedKeyPool(clean.Seed)
 
 	runDone(t, ts, clean)
-	coldMints := srv.metrics.RSAMinted()
+	coldMints := pool.Minted()
 	if coldMints == 0 {
 		t.Fatal("clean run minted no keys — the key-pool assertion would be vacuous")
 	}
@@ -120,15 +124,17 @@ func TestServer_WorldCacheFaultIsolation(t *testing.T) {
 	// above).
 	faulted.Probes = []string{"q5"}
 	runDone(t, ts, faulted)
-	if got := srv.metrics.RSAMinted(); got != coldMints {
+	if got := pool.Minted(); got != coldMints {
 		t.Errorf("faulted worlds of a warmed seed minted %d new keys, want 0", got-coldMints)
 	}
 }
 
 // TestServer_Prewarm: boot-time warm-up mints the requested keys into
-// the per-seed pool, so the FIRST request for that seed generates no key.
+// the seed's pool in the process-wide key store, so the FIRST request
+// for that seed generates no key. The seed is used by no other test.
 func TestServer_Prewarm(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
+	pool := wideleak.SharedKeyPool("prewarm-test")
 
 	first := ott.Profiles()[0].Name
 	resident, err := srv.Prewarm(context.Background(), "prewarm-test", 3, 2)
@@ -138,20 +144,21 @@ func TestServer_Prewarm(t *testing.T) {
 	if resident != 3 {
 		t.Fatalf("Prewarm resident = %d, want 3", resident)
 	}
-	if got := srv.pools.Len(); got != 1 {
-		t.Errorf("server holds %d key pools after prewarm, want 1", got)
+	if got := pool.Minted(); got != 3 {
+		t.Errorf("prewarm minted %d keys into the store's pool, want 3", got)
 	}
 
 	// The first three stable IDs are the first profile's devices, so a
 	// run over that profile needs no generation at all.
+	counterBefore := counterValue(t, metricsText(t, ts), "wideleakd_rsa_keys_minted_total")
 	runDone(t, ts, wideleak.RunSpec{Seed: "prewarm-test", Profiles: []string{first}, Probes: []string{"q2"}})
-	if got := srv.metrics.RSAMinted(); got != 0 {
-		t.Errorf("prewarmed run minted %d keys, want 0", got)
+	if got := pool.Minted(); got != 3 {
+		t.Errorf("prewarmed run minted %d keys, want 0", got-3)
 	}
-	if got := counterValue(t, metricsText(t, ts), "wideleakd_rsa_keys_minted_total"); got != "0" {
-		t.Errorf("rsa minted counter = %s, want 0", got)
+	if got := counterValue(t, metricsText(t, ts), "wideleakd_rsa_keys_minted_total"); got != counterBefore {
+		t.Errorf("rsa minted counter = %s after the prewarmed run, want %s", got, counterBefore)
 	}
-	if got := srv.keyPool("prewarm-test").Size(); got != 3 {
+	if got := pool.Size(); got != 3 {
 		t.Errorf("pool holds %d keys after the run, want the 3 prewarmed", got)
 	}
 

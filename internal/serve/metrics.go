@@ -7,6 +7,7 @@ import (
 	"repro/internal/httpkit"
 	"repro/internal/manifest"
 	"repro/internal/netsim"
+	"repro/internal/provision"
 	"repro/internal/wideleak"
 	"repro/internal/wideleak/probe"
 	"repro/internal/wvcrypto"
@@ -24,7 +25,6 @@ type Metrics struct {
 	coalesced   int64
 	cacheHits   int64
 	cacheMisses int64
-	rsaMinted   int64 // 2048-bit device keys actually generated by jobs
 	degraded    int64
 
 	cellsCached     int64            // probe cells satisfied from the cell LRU
@@ -101,23 +101,6 @@ func (m *Metrics) addCoalesced() { m.add(&m.coalesced) }
 func (m *Metrics) addCacheHit()  { m.add(&m.cacheHits) }
 func (m *Metrics) addCacheMiss() { m.add(&m.cacheMisses) }
 
-// addRSAMinted accounts one job's actual key generations — the
-// cold-start work the per-seed key pools exist to avoid. A fully warmed
-// job adds zero.
-func (m *Metrics) addRSAMinted(n int64) {
-	m.mu.Lock()
-	m.rsaMinted += n
-	m.mu.Unlock()
-}
-
-// RSAMinted reports the running total of device keys generated by jobs;
-// key-pool tests pin it unchanged across a warmed seed's runs.
-func (m *Metrics) RSAMinted() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rsaMinted
-}
-
 // addCellStats folds one matrix run's sharing counters into the cell
 // tier's metrics, including the device-axis dimension: fixture cells the
 // batch's built worlds actually manufactured, per device profile.
@@ -171,7 +154,7 @@ func (m *Metrics) Render() string {
 	httpkit.Counter(&b, "wideleakd_jobs_coalesced_total", "Submissions attached to an identical in-flight job.", m.coalesced)
 	httpkit.Counter(&b, "wideleakd_cache_hits_total", "Submissions served from the result cache with no device work.", m.cacheHits)
 	httpkit.Counter(&b, "wideleakd_cache_misses_total", "Submissions that had to run the study.", m.cacheMisses)
-	httpkit.Counter(&b, "wideleakd_rsa_keys_minted_total", "2048-bit device RSA keys actually generated by jobs (zero on warmed paths).", m.rsaMinted)
+	httpkit.Counter(&b, "wideleakd_rsa_keys_minted_total", "2048-bit Device RSA keys generated by this process's key pools (zero on warmed paths); replicas spawned in one process share it.", provision.KeysMinted())
 	sign, decrypt := wvcrypto.PrivateKeyOps()
 	httpkit.Labeled(&b, "counter", "wideleakd_rsa_private_ops_total", "Device RSA private-key operations (PSS sign, OAEP decrypt) called by this process, memo hits included; replicas spawned in one process share it.", "op", map[string]int64{"sign": sign, "decrypt": decrypt})
 	signHits, decryptHits := wvcrypto.PrivateKeyMemoHits()

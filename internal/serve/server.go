@@ -39,7 +39,6 @@ import (
 	"repro/internal/httpkit"
 	"repro/internal/lru"
 	"repro/internal/netsim"
-	"repro/internal/provision"
 	"repro/internal/wideleak"
 	"repro/internal/wideleak/probe"
 )
@@ -58,10 +57,6 @@ const (
 	HeaderCacheTier  = "X-Wideleak-Cache"
 	HeaderWorldCache = "X-Wideleak-World-Cache"
 )
-
-// keyPoolSeeds bounds the per-seed key-pool index. A pool holds its
-// seed's live RSA keys.
-const keyPoolSeeds = 16
 
 // Config sizes the server. Zero values select the defaults.
 type Config struct {
@@ -108,17 +103,12 @@ type Server struct {
 	// from here without re-running any device work.
 	cache *lru.Cache[string, *jobResult]
 
-	// pools is the warm tier below the result and cell caches: the
-	// per-seed Device RSA key pools shared by every job of a seed. A
-	// world is cheap to build; its provisioned device keys are not, so a
-	// tier-1 miss on a known seed builds its world and re-mints nothing.
-	pools *lru.Cache[string, *provision.KeyPool]
-
 	// cells is the sub-result memoization tier between the result cache
-	// and the key pools: completed (world, profile, probe) outcomes by
-	// CellKey. It makes the result tier cell-aware — a probe-subset
-	// request recombines resident cells instead of re-running — and it is
-	// what lets a batch share work across overlapping specs.
+	// and the process-wide key store (wideleak.SharedKeyPool): completed
+	// (world, profile, probe) outcomes by CellKey. It makes the result
+	// tier cell-aware — a probe-subset request recombines resident cells
+	// instead of re-running — and it is what lets a batch share work
+	// across overlapping specs.
 	cells *wideleak.CellCache
 
 	mu       sync.Mutex
@@ -143,7 +133,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		cache:  lru.New[string, *jobResult](cfg.CacheSize),
-		pools:  lru.New[string, *provision.KeyPool](keyPoolSeeds),
 		cells:  wideleak.NewCellCache(cfg.CellCacheSize),
 		jobs:   newJobTable(maxJobRecords),
 		active: make(map[string]*Job),
@@ -166,10 +155,10 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Prewarm kills the cold start for a seed before the first request
 // arrives: it pre-mints up to n of the seed's device RSA keys into the
-// shared key pool (n <= 0 means all of them) on parallelism workers.
-// Keys are byte-identical to lazily minted ones, so prewarming is
-// invisible to results. Returns the number of keys resident for the
-// seed.
+// seed's pool in the process-wide key store (n <= 0 means all of them)
+// on parallelism workers. Keys are byte-identical to lazily minted ones,
+// so prewarming is invisible to results. Returns the number of keys
+// resident for the seed.
 //
 // Prewarm is idempotent and safe to run concurrently with traffic; the
 // daemon calls it at boot (see wideleakd -prewarm) and logs the warm-up
@@ -183,7 +172,7 @@ func (s *Server) Prewarm(ctx context.Context, seed string, n, parallelism int) (
 	if n > 0 && n < len(ids) {
 		ids = ids[:n]
 	}
-	pool := s.keyPool(c.Seed)
+	pool := wideleak.SharedKeyPool(c.Seed)
 	err = pool.Prewarm(ctx, ids, parallelism)
 	return pool.Size(), err
 }
@@ -258,33 +247,11 @@ func (s *Server) runJob(job *Job) {
 	}
 }
 
-// keyPool returns the shared Device RSA key pool for a seed, minting
-// the pool itself on first use. Every job (and boot prewarm) of one
-// seed shares one pool, so 2048-bit keys are generated at most once per
-// (seed, device) for the server's lifetime — modulo LRU eviction.
-func (s *Server) keyPool(seed string) *provision.KeyPool {
-	return s.pools.GetOrPut(seed, func() *provision.KeyPool { return wideleak.NewKeyPool(seed) })
-}
-
-// buildStudy builds a spec's study and attaches the seed's shared key
-// pool before any provisioning traffic, so device keys mint once per
-// seed, not once per job.
-func (s *Server) buildStudy(spec wideleak.RunSpec) (*wideleak.Study, error) {
-	study, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	if err := study.World.AttachKeyPool(s.keyPool(spec.Seed)); err != nil {
-		return nil, err
-	}
-	return study, nil
-}
-
 // execute runs every spec of the job as one matrix under the job's
-// context, through the server's cell cache and per-seed key pools. A
-// study's probe events become its frames; a batch's completed rows
-// become its frames (its probe events only feed the metrics). Network
-// retries reach the per-host retry counters either way.
+// context, through the server's cell cache. A study's probe events
+// become its frames; a batch's completed rows become its frames (its
+// probe events only feed the metrics). Network retries reach the
+// per-host retry counters either way.
 //
 // Because single studies go through the same matrix scheduler, the
 // result tier is cell-aware: when every cell a spec needs is already
@@ -303,7 +270,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (*jobResult, error) {
 		Concurrency: job.concurrency,
 		Cache:       s.cells,
 		BuildStudy: func(spec wideleak.RunSpec) (*wideleak.Study, error) {
-			study, err := s.buildStudy(spec)
+			study, err := spec.Build()
 			if err != nil {
 				return nil, err
 			}
@@ -350,7 +317,6 @@ func (s *Server) execute(ctx context.Context, job *Job) (*jobResult, error) {
 	}
 	for _, world := range built {
 		res.virtual += world.Clock().Now()
-		s.metrics.addRSAMinted(world.Registry.MintCount())
 	}
 	s.metrics.addCellStats(batch.Stats)
 	if res.cellsRecombined {

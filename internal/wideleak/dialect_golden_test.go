@@ -1,18 +1,14 @@
 package wideleak
 
-import (
-	"testing"
-
-	"repro/internal/provision"
-)
+import "testing"
 
 // dialectStudy builds one canonical spec per wire dialect over a reduced
-// device set, sharing one deterministic key pool so only the first build
-// pays RSA minting. Q2/Q3 are the probes whose classification must not
+// device set. Every build provisions from the default seed's pool in the
+// process-wide key store, so only the first pays RSA minting. Q2/Q3 are the probes whose classification must not
 // depend on the wire format: Q2 (L1 downgrade on rooted hardware) and Q3
 // (license-server trust) both read the protection descriptors and segment
 // layout the dialects re-encode.
-func dialectStudy(t *testing.T, pool *provision.KeyPool, dialect string) (*Table, map[string]int) {
+func dialectStudy(t *testing.T, dialect string) (*Table, map[string]int) {
 	t.Helper()
 	spec := RunSpec{
 		Probes:  []string{"q2", "q3"},
@@ -22,9 +18,6 @@ func dialectStudy(t *testing.T, pool *provision.KeyPool, dialect string) (*Table
 	study, err := spec.Build()
 	if err != nil {
 		t.Fatalf("Build(%s): %v", dialect, err)
-	}
-	if err := study.World.AttachKeyPool(pool); err != nil {
-		t.Fatalf("AttachKeyPool(%s): %v", dialect, err)
 	}
 	table, err := study.BuildTableParallel(4)
 	if err != nil {
@@ -40,12 +33,10 @@ func dialectStudy(t *testing.T, pool *provision.KeyPool, dialect string) (*Table
 // requested dialect — a regression that silently fell back to DASH would
 // otherwise pass the byte comparison trivially.
 func TestDialectGoldenRows(t *testing.T) {
-	pool := NewKeyPool("default")
-
 	outputs := make(map[string]string)
 	counts := make(map[string]map[string]int)
 	for _, d := range []string{"dash", "hls", "sstr"} {
-		table, served := dialectStudy(t, pool, d)
+		table, served := dialectStudy(t, d)
 		out, err := table.Encode("txt")
 		if err != nil {
 			t.Fatalf("Encode(%s): %v", d, err)
@@ -84,9 +75,6 @@ func TestDialectDefaultGolden(t *testing.T) {
 	spec := RunSpec{Dialect: "dash"}
 	study, err := spec.Build()
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := study.World.AttachKeyPool(NewKeyPool("default")); err != nil {
 		t.Fatal(err)
 	}
 	table, err := study.BuildTableParallel(4)

@@ -120,8 +120,8 @@ type BatchOptions struct {
 	// BuildStudy materializes the study for one world. It receives a
 	// canonical spec carrying the world's seed and fault schedule plus the
 	// union profile list of every spec sharing the world. Nil defaults to
-	// RunSpec.Build. The service layer injects its snapshot/keypool tiers
-	// here.
+	// RunSpec.Build. The service layer wraps it to attach its event sink
+	// and retry metrics.
 	BuildStudy func(spec RunSpec) (*Study, error)
 	// OnRow, when set, is invoked serially (never concurrently) as rows
 	// complete.

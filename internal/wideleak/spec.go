@@ -57,10 +57,7 @@ type RunFaults struct {
 // zero-rate fault configs dropped. The canonical form is what Key hashes
 // and what job status endpoints echo back.
 func (r RunSpec) Canonicalize() (RunSpec, error) {
-	c := RunSpec{Seed: r.Seed, Concurrency: r.Concurrency}
-	if c.Seed == "" {
-		c.Seed = "default"
-	}
+	c := RunSpec{Seed: canonicalSeed(r.Seed), Concurrency: r.Concurrency}
 	if c.Concurrency < 0 {
 		c.Concurrency = 0
 	}
@@ -190,14 +187,11 @@ func (r RunSpec) WorldKey() (string, error) {
 // (manifest.CanonicalName); "" is the default DASH trio and adds no key
 // line, keeping every pre-dialect cell address stable.
 func CellKey(seed string, faults *RunFaults, devices []string, dialect, profile, probeID string) string {
-	if seed == "" {
-		seed = "default"
-	}
 	if len(devices) == 0 {
 		devices = defaultDeviceNamesCached
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "wideleak-cell-v1\nseed=%s\ndevices=%s\n", seed, strings.Join(devices, ","))
+	fmt.Fprintf(h, "wideleak-cell-v1\nseed=%s\ndevices=%s\n", canonicalSeed(seed), strings.Join(devices, ","))
 	if dialect != "" {
 		fmt.Fprintf(h, "dialect=%s\n", dialect)
 	}

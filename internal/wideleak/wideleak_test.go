@@ -89,13 +89,9 @@ var budgetRuns int
 func TestTableI_PrivateKeyBudget(t *testing.T) {
 	budgetRuns++
 	seed := fmt.Sprintf("private-key-budget-%d", budgetRuns)
-	pool := NewKeyPool(seed)
 	newStudy := func() *Study {
 		w, err := NewWorld(seed, nil)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.AttachKeyPool(pool); err != nil {
 			t.Fatal(err)
 		}
 		return NewStudy(w)

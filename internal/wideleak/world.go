@@ -215,7 +215,8 @@ func NewWorld(seed string, profiles []ott.Profile) (*World, error) {
 // NewWorldDevices is NewWorld with an explicit device set: each app's
 // fixture manufactures one cell per named device profile. nil devices
 // selects the default trio; the set is canonicalized (order-insensitive,
-// registry-validated) before the world is built.
+// registry-validated) before the world is built. The seed "" is
+// "default".
 func NewWorldDevices(seed string, profiles []ott.Profile, devices []string) (*World, error) {
 	if profiles == nil {
 		profiles = ott.Profiles()
@@ -224,7 +225,8 @@ func NewWorldDevices(seed string, profiles []ott.Profile, devices []string) (*Wo
 	if err != nil {
 		return nil, err
 	}
-	root := wvcrypto.NewDeterministicReader("wideleak-world-" + seed)
+	seed = canonicalSeed(seed)
+	root := worldRoot(seed)
 	w := &World{
 		Network:     netsim.NewNetwork(),
 		Registry:    provision.NewRegistry(),
@@ -239,9 +241,9 @@ func NewWorldDevices(seed string, profiles []ott.Profile, devices []string) (*Wo
 	}
 	// Device RSA keys mint from per-device forks of the world's
 	// provisioning root — a pure function of (seed, stable ID), never of
-	// provisioning order — so they can be pre-minted by a shared pool or
-	// restored from a snapshot byte-identically.
-	w.Registry.UseKeyPool(provision.NewKeyPool(mintRoot(root)))
+	// provisioning order — so every world of the seed provisions from the
+	// process-wide store's one pool.
+	w.Registry.UseKeyPool(provision.SharedKeyPool(mintRoot(seed)))
 	w.Factory = device.NewFactory(w.Registry, root.Fork("factory"))
 	for _, p := range profiles {
 		dep, err := ott.NewDeployment(p, []string{ContentID}, w.Registry, w.Network, root.Fork("deploy/"+p.Name))
@@ -301,33 +303,50 @@ func (w *World) ManifestServeCounts() map[string]int {
 // Seed returns the world's reproducibility seed.
 func (w *World) Seed() string { return w.seed }
 
-// mintRoot derives the world's RSA provisioning root from its rand root.
-// NewKeyPool must use the exact same chain: the label is part of the
-// determinism contract.
-func mintRoot(root *wvcrypto.DeterministicReader) *wvcrypto.DeterministicReader {
-	return root.Fork("provision/rsa")
-}
-
-// NewKeyPool builds a Device RSA key pool for a seed, minting keys
-// byte-identical to the ones any World with that seed mints on demand.
-// A daemon creates one pool per served seed, prewarms it in the
-// background, and attaches it to every world it builds for that seed —
-// the cold-start RSA phase then happens once per seed, not once per run.
-func NewKeyPool(seed string) *provision.KeyPool {
+// canonicalSeed is the one spelling of a seed that worlds, key pools, run
+// specs and cell keys share: "" is "default".
+func canonicalSeed(seed string) string {
 	if seed == "" {
-		seed = "default"
+		return "default"
 	}
-	return provision.NewKeyPool(mintRoot(wvcrypto.NewDeterministicReader("wideleak-world-" + seed)))
+	return seed
 }
 
-// AttachKeyPool replaces the world's private mint pool with a shared
-// one, so keys pre-minted elsewhere (a daemon's boot warm-up, an earlier
-// world of the same seed) are served without generation. The pool must
+// worldRoot is the rand root every world of a seed forks from.
+func worldRoot(seed string) *wvcrypto.DeterministicReader {
+	return wvcrypto.NewDeterministicReader("wideleak-world-" + canonicalSeed(seed))
+}
+
+// mintRoot derives a seed's RSA provisioning root from its world root.
+// The label is part of the determinism contract.
+func mintRoot(seed string) *wvcrypto.DeterministicReader {
+	return worldRoot(seed).Fork("provision/rsa")
+}
+
+// NewKeyPool builds a fresh, unshared Device RSA key pool for a seed,
+// minting keys byte-identical to the ones any World with that seed mints
+// on demand. Worlds already share their seed's pool in the process-wide
+// store (SharedKeyPool); a fresh pool is for callers that must start
+// empty, such as a keygen timing or a pool filled from stored keys.
+func NewKeyPool(seed string) *provision.KeyPool {
+	return provision.NewKeyPool(mintRoot(seed))
+}
+
+// SharedKeyPool returns the process-wide store's pool for a seed: the
+// pool every world of that seed provisions from unless another is
+// attached.
+func SharedKeyPool(seed string) *provision.KeyPool {
+	return provision.SharedKeyPool(mintRoot(seed))
+}
+
+// AttachKeyPool replaces the world's store pool with another pool of
+// its seed, so keys put there elsewhere (a fresh pool prewarmed or
+// filled from stored keys) are served without generation. The pool must
 // derive from this world's seed — attaching a mismatched pool would
 // silently change every device identity, so it is rejected instead.
 // Attach before any provisioning traffic.
 func (w *World) AttachKeyPool(pool *provision.KeyPool) error {
-	if got, want := pool.Fingerprint(), mintRoot(w.root).Fingerprint(); got != want {
+	if got, want := pool.Fingerprint(), mintRoot(w.seed).Fingerprint(); got != want {
 		return fmt.Errorf("wideleak: key pool seed mismatch (pool %s, world %s)", got, want)
 	}
 	w.Registry.UseKeyPool(pool)

@@ -254,9 +254,11 @@ func RestoreWorldProfiles(data []byte, profiles []Profile) (*World, error) {
 	return wideleak.RestoreWorldProfiles(data, profiles)
 }
 
-// NewKeyPool builds the deterministic Device RSA key pool for a world
+// NewKeyPool builds a fresh, unshared Device RSA key pool for a world
 // seed ("" = "default"): keys pre-minted here are byte-identical to the
-// ones the seed's worlds would mint on demand.
+// ones the seed's worlds mint on demand. Worlds already share one pool
+// per seed in a process-wide store; attach a fresh pool with
+// World.AttachKeyPool.
 func NewKeyPool(seed string) *KeyPool { return wideleak.NewKeyPool(seed) }
 
 // DeviceStableIDs lists the stable device IDs the given profiles'

@@ -65,10 +65,14 @@ func (w *World) Snapshot() ([]byte, error) {
 	// Pool-resident keys that no provisioning request has claimed yet are
 	// still paid-for state (a boot-time prewarm mints straight into the
 	// pool): persist them alongside the provisioned identities. The pool
-	// is seed-locked to this world, so every resident key is valid here.
+	// is the seed's shared one, so only this world's devices' keys are
+	// taken: a snapshot depends on its own world, not on which other
+	// worlds of the seed ran before it.
 	if pool := w.Registry.KeyPool(); pool != nil {
-		for id, key := range pool.Export() {
-			if _, ok := snap.RSAKeys[id]; !ok {
+		resident := pool.Export()
+		for _, id := range w.DeviceStableIDs() {
+			key, ok := resident[id]
+			if _, done := snap.RSAKeys[id]; ok && !done {
 				snap.RSAKeys[id] = wvcrypto.MarshalRSAPrivateKey(key)
 			}
 		}

@@ -63,10 +63,12 @@ bench-guard:
 # equal to the dialect's own decode), the RSA keygen small-prime filter against its big.Int
 # reference, FuzzRunSpec (RunSpec decode + Canonicalize: idempotent
 # canonical bytes, stable Key and WorldKey — what fleet failover
-# replays) and FuzzBackend (an OTT deployment's license and provisioning
+# replays), FuzzBackend (an OTT deployment's license and provisioning
 # handlers, the surface forged E7 requests hit: no panic, only
-# 200/400/403/404), each for FUZZTIME (go permits one -fuzz pattern per
-# invocation, hence one run per target).
+# 200/400/403/404) and FuzzSubmitBody (arbitrary bodies POSTed to the
+# daemon's study and batch submit endpoints, every job cancelled before
+# it starts: no panic, only 200/202/400/429/503), each for FUZZTIME (go
+# permits one -fuzz pattern per invocation, hence one run per target).
 fuzz:
 	$(GO) test ./internal/dash -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hls -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
@@ -78,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/wvcrypto -run '^$$' -fuzz '^FuzzSmallFactor$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wideleak -run '^$$' -fuzz '^FuzzRunSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ott -run '^$$' -fuzz '^FuzzBackend$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the fault-injection suite under the race detector: for the
 # five fixed seeds, Table I under transient faults must render

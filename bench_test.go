@@ -258,7 +258,8 @@ func benchColdTable(b *testing.B, parallelism int) {
 			b.Fatal(err)
 		}
 		s := iwl.NewStudy(w)
-		table, err := s.BuildTableParallel(parallelism)
+		s.Concurrency = parallelism
+		table, err := s.BuildTable()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -288,11 +289,13 @@ func BenchmarkTableI_Full_ParallelN(b *testing.B) { benchColdTable(b, runtime.GO
 // BenchmarkTableI_Full.
 func BenchmarkTableI_Full_WarmParallelN(b *testing.B) {
 	s := benchSharedStudy(b)
+	defer func(sequential int) { s.Concurrency = sequential }(s.Concurrency)
+	s.Concurrency = runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.ResetObservations()
-		table, err := s.BuildTableParallel(runtime.GOMAXPROCS(0))
+		table, err := s.BuildTable()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -315,7 +318,9 @@ func BenchmarkColdStart_Pooled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := benchWorld(b)
-		table, err := iwl.NewStudy(w).BuildTableParallel(1)
+		s := iwl.NewStudy(w)
+		s.Concurrency = 1
+		table, err := s.BuildTable()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -331,20 +336,22 @@ func BenchmarkColdStart_Pooled(b *testing.B) {
 	}
 }
 
-// BenchmarkWorldSnapshot_Restore measures RestoreWorld over a fully
-// warmed default-world snapshot — the milliseconds a snapshot-restored
-// world costs in place of the seconds a cold build spends minting keys.
+// BenchmarkWorldSnapshot_Restore measures RunSpec.BuildFromSnapshot over
+// a fully warmed snapshot of the bench world — the milliseconds a
+// snapshot-restored world costs in place of the seconds a cold build
+// spends minting keys.
 func BenchmarkWorldSnapshot_Restore(b *testing.B) {
 	snap := warmSnapshot(b)
+	spec := iwl.RunSpec{Seed: "bench"}
 	b.SetBytes(int64(len(snap)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		restored, err := iwl.RestoreWorld(snap)
+		restored, err := spec.BuildFromSnapshot(snap)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if got := len(restored.Profiles()); got == 0 {
+		if got := len(restored.World.Profiles()); got == 0 {
 			b.Fatal("restored world has no profiles")
 		}
 	}

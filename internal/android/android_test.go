@@ -296,16 +296,36 @@ func TestCryptoSession_GenericCrypto(t *testing.T) {
 		t.Fatal(err)
 	}
 	iv := bytes.Repeat([]byte{3}, 16)
-	ct, err := cs.Encrypt(iv, []byte("secret uri"))
+	secret := []byte("https://cdn.example/manifest?token=abc")
+	ct, err := cs.Encrypt(iv, secret)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if bytes.Contains(ct, []byte("manifest")) {
+		t.Error("ciphertext leaks plaintext")
 	}
 	pt, err := cs.Decrypt(iv, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(pt) != "secret uri" {
+	if !bytes.Equal(pt, secret) {
 		t.Errorf("roundtrip = %q", pt)
+	}
+	// A session whose keys derive from another context cannot open the
+	// ciphertext, even under the same IV.
+	s2, err := f.drm.OpenSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := f.drm.GetCryptoSession(s2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.DeriveKeys([]byte("other ctx")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := other.Decrypt(iv, ct); err == nil && bytes.Equal(got, secret) {
+		t.Error("a session of another context opened the ciphertext")
 	}
 	sig, err := cs.Sign([]byte("data"))
 	if err != nil || len(sig) != 32 {

@@ -227,55 +227,3 @@ func (c *Client) Decrypt(s oemcrypto.SessionID, kid [16]byte, scheme string, iv 
 	}
 	return c.engine.DecryptCENC(s, scheme, iv, subsamples, data)
 }
-
-// SecureChannel wraps the generic crypto API for apps that tunnel
-// application data (e.g. manifest URIs) through the CDM — the non-DASH mode
-// Netflix relies on.
-type SecureChannel struct {
-	client  *Client
-	session oemcrypto.SessionID
-	iv      []byte
-}
-
-// OpenSecureChannel opens a session whose generic keys are derived from the
-// given channel context (shared out-of-band with the server).
-func (c *Client) OpenSecureChannel(context []byte) (*SecureChannel, error) {
-	s, err := c.engine.OpenSession()
-	if err != nil {
-		return nil, err
-	}
-	if err := c.engine.GenerateDerivedKeys(s, context); err != nil {
-		return nil, fmt.Errorf("cdm: secure channel keys: %w", err)
-	}
-	iv := make([]byte, 16)
-	if _, err := io.ReadFull(c.rand, iv); err != nil {
-		return nil, fmt.Errorf("cdm: secure channel iv: %w", err)
-	}
-	return &SecureChannel{client: c, session: s, iv: iv}, nil
-}
-
-// Session exposes the channel's OEMCrypto session ID.
-func (ch *SecureChannel) Session() oemcrypto.SessionID { return ch.session }
-
-// IV exposes the channel IV (sent alongside ciphertext).
-func (ch *SecureChannel) IV() []byte { return append([]byte(nil), ch.iv...) }
-
-// Seal encrypts application data into the channel.
-func (ch *SecureChannel) Seal(data []byte) ([]byte, error) {
-	return ch.client.engine.GenericEncrypt(ch.session, ch.iv, data)
-}
-
-// Open decrypts data received over the channel.
-func (ch *SecureChannel) Open(data []byte) ([]byte, error) {
-	return ch.client.engine.GenericDecrypt(ch.session, ch.iv, data)
-}
-
-// OpenWithIV decrypts data sealed under an explicit IV.
-func (ch *SecureChannel) OpenWithIV(iv, data []byte) ([]byte, error) {
-	return ch.client.engine.GenericDecrypt(ch.session, iv, data)
-}
-
-// Close releases the channel's session.
-func (ch *SecureChannel) Close() error {
-	return ch.client.engine.CloseSession(ch.session)
-}

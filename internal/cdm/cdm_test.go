@@ -178,28 +178,3 @@ func TestCreateLicenseRequest_RequiresProvisioning(t *testing.T) {
 		t.Error("fresh client claims provisioned")
 	}
 }
-
-func TestSecureChannel_DistinctContextsDistinctKeys(t *testing.T) {
-	c := newClient(t)
-	chA, err := c.OpenSecureChannel([]byte("ctx-A"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = chA.Close() }()
-	chB, err := c.OpenSecureChannel([]byte("ctx-B"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = chB.Close() }()
-
-	secret := []byte("the same plaintext")
-	sealedA, err := chA.Seal(secret)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Channel B cannot open A's box (different derived keys), even reusing
-	// A's IV.
-	if pt, err := chB.OpenWithIV(chA.IV(), sealedA); err == nil && bytes.Equal(pt, secret) {
-		t.Error("cross-channel open succeeded")
-	}
-}

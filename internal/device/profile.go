@@ -200,15 +200,6 @@ func DefaultProfileNames() []string {
 	return append([]string(nil), defaultProfileNames...)
 }
 
-// DefaultProfiles resolves the default trio.
-func DefaultProfiles() []Profile {
-	out := make([]Profile, 0, len(defaultProfileNames))
-	for _, name := range defaultProfileNames {
-		out = append(out, MustProfile(name))
-	}
-	return out
-}
-
 func init() {
 	// The paper's trio first: these three reproduce the bespoke
 	// constructors byte for byte and are the default device set every

@@ -8,6 +8,7 @@ package httpkit
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -43,12 +44,17 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 }
 
 // DecodeJSON decodes a request body of at most limit bytes into v,
-// rejecting unknown fields. On failure it answers 400 and reports false.
+// rejecting unknown fields and anything but whitespace after the one JSON
+// value. On failure it answers 400 and reports false.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		WriteError(w, http.StatusBadRequest, "bad request body: data after the JSON value")
 		return false
 	}
 	return true

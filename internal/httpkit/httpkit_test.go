@@ -1,6 +1,8 @@
 package httpkit
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -40,5 +42,44 @@ func TestTrimFloat(t *testing.T) {
 		if got := TrimFloat(in); got != want {
 			t.Errorf("TrimFloat(%v) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestDecodeJSON: a body is one JSON value, optionally followed by
+// whitespace; trailing data, unknown fields and oversized bodies answer
+// 400.
+func TestDecodeJSON(t *testing.T) {
+	for _, c := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"value", `{"seed":"a"}`, true},
+		{"trailing newline", "{\"seed\":\"a\"}\n", true},
+		{"trailing whitespace", "{\"seed\":\"a\"} \r\n\t ", true},
+		{"trailing garbage", `{"seed":"a"}garbage`, false},
+		{"second value", `{"seed":"a"}{"seed":"b"}`, false},
+		{"trailing close brace", `{"seed":"a"}}`, false},
+		{"trailing number", `{"seed":"a"} 1`, false},
+		{"unknown field", `{"seed":"a","x":1}`, false},
+		{"empty", ``, false},
+		{"over the limit", `{"seed":"` + strings.Repeat("a", 64) + `"}`, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var v struct {
+				Seed string `json:"seed"`
+			}
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(c.body))
+			ok := DecodeJSON(rec, req, 32, &v)
+			if ok != c.ok {
+				t.Fatalf("DecodeJSON(%q) = %v, want %v", c.body, ok, c.ok)
+			}
+			if ok && v.Seed != "a" {
+				t.Errorf("seed = %q, want a", v.Seed)
+			}
+			if !ok && rec.Code != http.StatusBadRequest {
+				t.Errorf("status = %d, want 400", rec.Code)
+			}
+		})
 	}
 }

@@ -330,37 +330,6 @@ func TestKeyDB(t *testing.T) {
 	}
 }
 
-func TestSecureChannel(t *testing.T) {
-	w := newWorld(t, "15.0", provision.Policy{})
-	ch, err := w.client.OpenSecureChannel([]byte("channel-ctx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := ch.Close(); err != nil {
-			t.Error(err)
-		}
-	}()
-	secret := []byte("https://cdn.example/manifest?token=abc")
-	sealed, err := ch.Seal(secret)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(sealed, []byte("manifest")) {
-		t.Error("sealed data leaks plaintext")
-	}
-	opened, err := ch.Open(sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(opened, secret) {
-		t.Error("secure channel roundtrip mismatch")
-	}
-	if got, err := ch.OpenWithIV(ch.IV(), sealed); err != nil || !bytes.Equal(got, secret) {
-		t.Errorf("OpenWithIV = %q, %v", got, err)
-	}
-}
-
 func TestLicense_DurationPropagates(t *testing.T) {
 	w := newWorld(t, "15.0", provision.Policy{})
 	if err := w.provision(t); err != nil {

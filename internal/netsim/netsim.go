@@ -252,13 +252,6 @@ func (c *Client) SetRetryPolicy(p *RetryPolicy) {
 	c.retry = p
 }
 
-// RetryPolicy returns the installed retry policy, nil when absent.
-func (c *Client) RetryPolicy() *RetryPolicy {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retry
-}
-
 // Do performs one exchange, enforcing the pin against whatever certificate
 // the connection presents (the host's, or the interceptor's when a MITM is
 // in the path). With a retry policy installed, transient injected faults

@@ -149,10 +149,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Metrics exposes the server's instrumentation (the /metrics handler
-// renders it; tests and embedders may too).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // Prewarm kills the cold start for a seed before the first request
 // arrives: it pre-mints up to n of the seed's device RSA keys into the
 // seed's pool in the process-wide key store (n <= 0 means all of them)

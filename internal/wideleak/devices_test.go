@@ -4,8 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"repro/internal/ott"
 )
 
 // TestWorldDevicesDefaultIdentity: NewWorld and NewWorldDevices with the
@@ -113,7 +111,7 @@ func TestSpecDevicesCanonicalization(t *testing.T) {
 //   - an embedded-CDM app (Amazon) bypasses Widevine on L3 entirely, so
 //     it plays through its own DRM everywhere — even on a revoked keybox.
 func TestRevocationMatrix(t *testing.T) {
-	profiles := profilesByName(t, "Netflix", "Disney+", "Amazon Prime Video")
+	profiles := profilesNamed(t, "Netflix", "Disney+", "Amazon Prime Video")
 	w, err := NewWorldDevices("revocation-matrix", profiles,
 		[]string{"pixel", "galaxy-s7", "oneplus-5", "l3-revoked"})
 	if err != nil {
@@ -210,18 +208,4 @@ func TestBatchDeviceMatrixRecombination(t *testing.T) {
 	if got, want := second.Tables[0].Render(), fresh.Render(); got != want {
 		t.Errorf("recombined table differs from fresh run:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-}
-
-// profilesByName resolves registered OTT profiles for tests.
-func profilesByName(t *testing.T, names ...string) []ott.Profile {
-	t.Helper()
-	var out []ott.Profile
-	for _, name := range names {
-		p, err := profileByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, p)
-	}
-	return out
 }

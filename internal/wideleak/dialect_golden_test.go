@@ -19,9 +19,10 @@ func dialectStudy(t *testing.T, dialect string) (*Table, map[string]int) {
 	if err != nil {
 		t.Fatalf("Build(%s): %v", dialect, err)
 	}
-	table, err := study.BuildTableParallel(4)
+	study.Concurrency = 4
+	table, err := study.BuildTable()
 	if err != nil {
-		t.Fatalf("BuildTableParallel(%s): %v", dialect, err)
+		t.Fatalf("BuildTable(%s): %v", dialect, err)
 	}
 	return table, study.World.ManifestServeCounts()
 }
@@ -77,7 +78,8 @@ func TestDialectDefaultGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := study.BuildTableParallel(4)
+	study.Concurrency = 4
+	table, err := study.BuildTable()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/lru"
 	"repro/internal/netsim"
@@ -49,8 +48,7 @@ type CellOutcome struct {
 // batches: a probe-subset request whose cells are all resident is
 // reassembled without building a world or touching a device.
 type CellCache struct {
-	lru          *lru.Cache[string, *CellOutcome]
-	hits, misses atomic.Int64
+	lru *lru.Cache[string, *CellOutcome]
 }
 
 // NewCellCache returns an LRU holding up to capacity cell outcomes.
@@ -60,41 +58,20 @@ func NewCellCache(capacity int) *CellCache {
 }
 
 // Get returns the outcome for a cell key, marking it most recently used.
+// A nil cache (BatchOptions.Cache unset) always misses.
 func (c *CellCache) Get(key string) (*CellOutcome, bool) {
 	if c == nil {
 		return nil, false
 	}
-	out, ok := c.lru.Get(key)
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return out, ok
+	return c.lru.Get(key)
 }
 
 // Put stores a cell outcome, evicting the least recently used entry
-// beyond capacity.
+// beyond capacity. On a nil cache it does nothing.
 func (c *CellCache) Put(key string, out *CellOutcome) {
 	if c != nil {
 		c.lru.Put(key, out)
 	}
-}
-
-// Len reports the resident cell count.
-func (c *CellCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	return c.lru.Len()
-}
-
-// Stats reports lifetime hit/miss counters.
-func (c *CellCache) Stats() (hits, misses int64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.hits.Load(), c.misses.Load()
 }
 
 // RowUpdate is delivered to BatchOptions.OnRow as each spec's row

@@ -10,17 +10,19 @@ import (
 	"repro/internal/ott"
 )
 
-// TestBuildTableParallel_MatchesSequential is the determinism contract of
-// the parallel engine: for the same seed, the strictly sequential build and
-// a highly concurrent build must render byte-identical tables — across two
-// independent runs of each.
-func TestBuildTableParallel_MatchesSequential(t *testing.T) {
+// TestBuildTable_ConcurrencyMatchesSequential is the determinism contract
+// of the parallel engine: for the same seed, the strictly sequential build
+// and a highly concurrent build must render byte-identical tables — across
+// two independent runs of each.
+func TestBuildTable_ConcurrencyMatchesSequential(t *testing.T) {
 	render := func(parallelism int) string {
 		w, err := NewWorld("parallel-determinism", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		table, err := NewStudy(w).BuildTableParallel(parallelism)
+		s := NewStudy(w)
+		s.Concurrency = parallelism
+		table, err := s.BuildTable()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +154,9 @@ func TestWarmFixtures(t *testing.T) {
 	if err := w.WarmFixtures(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
-	table, err := NewStudy(w).BuildTableParallel(4)
+	s := NewStudy(w)
+	s.Concurrency = 4
+	table, err := s.BuildTable()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +201,10 @@ func TestShortName_Collisions(t *testing.T) {
 	}
 }
 
-// TestBuildTableParallel_ErrorPropagation: a row whose fixture cannot
-// build surfaces as an error naming the row instead of deadlocking the
-// pool or truncating the table silently.
-func TestBuildTableParallel_ErrorPropagation(t *testing.T) {
+// TestBuildTable_ErrorPropagation: a row whose fixture cannot build
+// surfaces as an error naming the row instead of deadlocking the pool or
+// truncating the table silently.
+func TestBuildTable_ErrorPropagation(t *testing.T) {
 	w, err := NewWorld("err-prop", []ott.Profile{ott.Profiles()[0], ott.Profiles()[1]})
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +215,8 @@ func TestBuildTableParallel_ErrorPropagation(t *testing.T) {
 	broken.once.Do(func() { broken.err = errors.New("boom") })
 	w.fixtures["Ghost App"] = broken
 	s := NewStudy(w)
-	_, err = s.BuildTableParallel(4)
+	s.Concurrency = 4
+	_, err = s.BuildTable()
 	if err == nil {
 		t.Fatal("want error for unknown app row")
 	}

@@ -2,7 +2,6 @@ package probe
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -155,12 +154,4 @@ func (r *Registry[T]) Resolve(ids []string) (selected, execution []string, err e
 		}
 	}
 	return selected, execution, nil
-}
-
-// SortedIDs returns the registered IDs sorted lexically — convenience
-// for stable error/help output independent of registration order.
-func (r *Registry[T]) SortedIDs() []string {
-	ids := r.IDs()
-	sort.Strings(ids)
-	return ids
 }

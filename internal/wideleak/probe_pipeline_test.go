@@ -56,7 +56,8 @@ func TestProbePipeline_DefaultGolden(t *testing.T) {
 	s := NewStudy(w)
 
 	for _, parallelism := range []int{1, 8} {
-		table, err := s.BuildTableParallel(parallelism)
+		s.Concurrency = parallelism
+		table, err := s.BuildTable()
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)
 		}

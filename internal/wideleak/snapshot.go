@@ -30,33 +30,28 @@ const snapshotVersion = 1
 
 // worldSnapshot is the serialized form. Key material is raw bytes
 // (base64 in JSON): device keys from the keybox feed, RSA keys as
-// PKCS#1 DER.
+// PKCS#1 DER. The profile and device sets are not in it: the spec a
+// snapshot restores under names both.
 type worldSnapshot struct {
 	Version    int               `json:"version"`
 	Seed       string            `json:"seed"`
-	Profiles   []string          `json:"profiles"`
-	Devices    []string          `json:"devices,omitempty"`
 	DeviceKeys map[string][]byte `json:"device_keys"`
 	RSAKeys    map[string][]byte `json:"rsa_keys"`
 }
 
 // Snapshot serializes the world's expensive state: every provisioned
-// Device RSA identity and registered device key, plus the seed and
-// profile set needed to rebuild the rest deterministically. Snapshot a
-// warmed world (after a table build) to capture all of its keys; a
-// partially warmed world yields a partial — still valid — snapshot whose
-// missing keys simply mint on demand after restore.
+// Device RSA identity and registered device key, plus the seed needed
+// to rebuild the rest deterministically (RunSpec.BuildFromSnapshot
+// restores it). Snapshot a warmed world (after a table build) to capture
+// all of its keys; a partially warmed world yields a partial — still
+// valid — snapshot whose missing keys simply mint on demand after
+// restore.
 func (w *World) Snapshot() ([]byte, error) {
 	snap := worldSnapshot{
 		Version:    snapshotVersion,
 		Seed:       w.seed,
-		Profiles:   make([]string, 0, len(w.profiles)),
-		Devices:    w.DeviceNames(),
 		DeviceKeys: make(map[string][]byte),
 		RSAKeys:    w.Registry.ExportRSAKeys(),
-	}
-	for _, p := range w.profiles {
-		snap.Profiles = append(snap.Profiles, p.Name)
 	}
 	for id, key := range w.Registry.ExportDeviceKeys() {
 		k := key
@@ -80,34 +75,17 @@ func (w *World) Snapshot() ([]byte, error) {
 	return json.Marshal(snap)
 }
 
-// RestoreWorld rebuilds a world from Snapshot output in milliseconds:
-// the cheap state (deployments, media, fixtures) is re-derived from the
-// seed exactly as NewWorld does, and the expensive state (RSA
-// identities) is installed from the snapshot so no key generation runs.
-// Profile names are resolved against the registered OTT profiles.
-func RestoreWorld(data []byte) (*World, error) {
-	return RestoreWorldProfiles(data, nil)
-}
-
-// RestoreWorldProfiles is RestoreWorld with a profile override: the
-// restored world studies the given profiles (nil = the snapshot's own
-// list) while still reusing every key the snapshot carries. Because all
-// world material is keyed by stable labels — never by profile-list
-// position — a snapshot taken over one profile set warms a world built
-// over any other; keys for devices outside the snapshot mint lazily.
-func RestoreWorldProfiles(data []byte, profiles []ott.Profile) (*World, error) {
-	return restoreWorld(data, profiles, nil)
-}
-
-// restoreWorld rebuilds a world from a snapshot with optional profile
-// and device-set overrides (nil = the snapshot's own lists; snapshots
-// predating the device axis restore the default trio). The same
-// stable-label argument that makes profile overrides safe covers the
-// device axis: RSA identities are keyed by device serial, so a snapshot
-// taken over one device set warms any other — keys for devices outside
-// the snapshot mint lazily, and a revoked profile's device never had a
-// registered key to leak in.
-func restoreWorld(data []byte, profiles []ott.Profile, devices []string) (*World, error) {
+// restoreWorld builds the world of seed over the given profiles and
+// devices, as NewWorldDevices does, and installs a snapshot's keys in it
+// so no key generation runs for the devices the snapshot covers. The
+// cheap state (deployments, media, fixtures) is re-derived from the seed.
+// Every RSA identity is keyed by a stable device label, never by profile
+// or device-list position, so a snapshot taken over one profile and
+// device set warms a world built over any other; keys for devices outside
+// the snapshot mint lazily. The snapshot must carry the same seed:
+// restoring mismatched key material would silently change every device
+// identity, so it is rejected instead.
+func restoreWorld(data []byte, seed string, profiles []ott.Profile, devices []string) (*World, error) {
 	var snap worldSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, fmt.Errorf("wideleak: parse snapshot: %w", err)
@@ -115,19 +93,10 @@ func restoreWorld(data []byte, profiles []ott.Profile, devices []string) (*World
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("wideleak: snapshot version %d (want %d)", snap.Version, snapshotVersion)
 	}
-	if profiles == nil {
-		for _, name := range snap.Profiles {
-			p, err := profileByName(name)
-			if err != nil {
-				return nil, err
-			}
-			profiles = append(profiles, p)
-		}
+	if got := canonicalSeed(snap.Seed); got != seed {
+		return nil, fmt.Errorf("wideleak: snapshot seed %q does not match request seed %q", got, seed)
 	}
-	if devices == nil {
-		devices = snap.Devices
-	}
-	w, err := NewWorldDevices(snap.Seed, profiles, devices)
+	w, err := NewWorldDevices(seed, profiles, devices)
 	if err != nil {
 		return nil, err
 	}
@@ -147,14 +116,4 @@ func restoreWorld(data []byte, profiles []ott.Profile, devices []string) (*World
 		w.Registry.InstallRSAKey(id, key)
 	}
 	return w, nil
-}
-
-// profileByName resolves one registered OTT profile by exact name.
-func profileByName(name string) (ott.Profile, error) {
-	for _, p := range ott.Profiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return ott.Profile{}, fmt.Errorf("wideleak: snapshot profile %q is not registered", name)
 }

@@ -34,16 +34,18 @@ func defaultSnapshot(t *testing.T) []byte {
 	return snap
 }
 
-// coldRestore restores a snapshot over a fresh, empty key pool of its
-// seed. The seed's shared pool may already hold every key (other worlds
-// of the seed ran first), so only over a fresh pool does MintCount() == 0
-// show that the snapshot itself supplied each key the world used.
-func coldRestore(t *testing.T, snap []byte, profiles []ott.Profile) *World {
+// coldRestore restores a snapshot through spec over a fresh, empty key
+// pool of its seed. The seed's shared pool may already hold every key
+// (other worlds of the seed ran first), so only over a fresh pool does
+// MintCount() == 0 show that the snapshot itself supplied each key the
+// world used.
+func coldRestore(t *testing.T, snap []byte, spec RunSpec) *World {
 	t.Helper()
-	w, err := RestoreWorldProfiles(snap, profiles)
+	study, err := spec.BuildFromSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := study.World
 	if err := w.AttachKeyPool(NewKeyPool(w.Seed())); err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +58,10 @@ func coldRestore(t *testing.T, snap []byte, profiles []ott.Profile) *World {
 func TestSnapshotRestore_GoldenTableI(t *testing.T) {
 	snap := defaultSnapshot(t)
 	for _, parallelism := range []int{1, 8} {
-		w := coldRestore(t, snap, nil)
-		table, err := NewStudy(w).BuildTableParallel(parallelism)
+		w := coldRestore(t, snap, RunSpec{})
+		s := NewStudy(w)
+		s.Concurrency = parallelism
+		table, err := s.BuildTable()
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)
 		}
@@ -89,7 +93,7 @@ func TestSnapshotRestore_GoldenTableI(t *testing.T) {
 // device without a single new key generation, and the table built on top
 // still matches the golden.
 func TestSnapshotRestore_WarmFixturesZeroKeygen(t *testing.T) {
-	w := coldRestore(t, defaultSnapshot(t), nil)
+	w := coldRestore(t, defaultSnapshot(t), RunSpec{})
 	if err := w.WarmFixtures(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +128,7 @@ func TestSnapshotRestore_UnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored := coldRestore(t, defaultSnapshot(t), nil)
+	restored := coldRestore(t, defaultSnapshot(t), RunSpec{})
 	plan := restored.InstallFaults(spec)
 	restoredTable, err := NewStudy(restored).BuildTable()
 	if err != nil {
@@ -146,8 +150,11 @@ func TestSnapshotRestore_UnderFaults(t *testing.T) {
 // a subset (keys are label-addressed, not position-addressed), and the
 // subset world still mints nothing.
 func TestSnapshotRestore_ProfileOverride(t *testing.T) {
-	subset := ott.Profiles()[:3]
-	w := coldRestore(t, defaultSnapshot(t), subset)
+	var subset []string
+	for _, p := range ott.Profiles()[:3] {
+		subset = append(subset, p.Name)
+	}
+	w := coldRestore(t, defaultSnapshot(t), RunSpec{Profiles: subset})
 	if got := len(w.Profiles()); got != len(subset) {
 		t.Fatalf("restored world has %d profiles, want %d", got, len(subset))
 	}
@@ -180,7 +187,7 @@ func TestSnapshot_CarriesPoolResidentKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored := coldRestore(t, snap, nil)
+	restored := coldRestore(t, snap, RunSpec{Seed: "pool-resident"})
 	for _, id := range ids {
 		if _, ok := restored.Registry.RSAPublicKey(id); !ok {
 			t.Errorf("pool-resident key %q did not survive the snapshot", id)
@@ -234,18 +241,16 @@ func TestSnapshot_OwnDevicesOnly(t *testing.T) {
 // Restore must reject wire-format and content corruption rather than
 // build a world over bad key material.
 func TestRestoreWorld_Rejections(t *testing.T) {
-	if _, err := RestoreWorld([]byte("not json")); err == nil {
-		t.Error("want error for malformed snapshot")
-	}
-	if _, err := RestoreWorld([]byte(`{"version":99,"seed":"default"}`)); err == nil {
-		t.Error("want error for unknown snapshot version")
-	}
-	if _, err := RestoreWorld([]byte(`{"version":1,"seed":"x","profiles":["NoSuchApp"]}`)); err == nil {
-		t.Error("want error for unregistered profile name")
-	}
-	bad := `{"version":1,"seed":"x","profiles":[],"device_keys":{"PX-a":"AAA="},"rsa_keys":{}}`
-	if _, err := RestoreWorld([]byte(bad)); err == nil {
-		t.Error("want error for truncated device key")
+	spec := RunSpec{Seed: "x", Profiles: []string{"Showtime"}}
+	for _, c := range []struct{ name, snap string }{
+		{"malformed snapshot", "not json"},
+		{"unknown snapshot version", `{"version":99,"seed":"x"}`},
+		{"truncated device key", `{"version":1,"seed":"x","device_keys":{"PX-a":"AAA="},"rsa_keys":{}}`},
+		{"corrupt rsa key", `{"version":1,"seed":"x","rsa_keys":{"PX-a":"AAA="}}`},
+	} {
+		if _, err := spec.BuildFromSnapshot([]byte(c.snap)); err == nil {
+			t.Errorf("want error for %s", c.name)
+		}
 	}
 }
 
@@ -267,19 +272,18 @@ func TestSnapshotRestore_KeysStayWorldLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap, err := json.Marshal(worldSnapshot{
-		Version:  snapshotVersion,
-		Seed:     seed,
-		Profiles: []string{"Showtime"},
-		Devices:  devices,
-		RSAKeys:  map[string][]byte{id: wvcrypto.MarshalRSAPrivateKey(swapped)},
+		Version: snapshotVersion,
+		Seed:    seed,
+		RSAKeys: map[string][]byte{id: wvcrypto.MarshalRSAPrivateKey(swapped)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := RestoreWorld(snap)
+	study, err := RunSpec{Seed: seed, Profiles: []string{"Showtime"}, Devices: devices}.BuildFromSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
+	restored := study.World
 	if pub, ok := restored.Registry.RSAPublicKey(id); !ok || !pub.Equal(&swapped.PublicKey) {
 		t.Fatalf("restored world does not hold its snapshot's key for %s", id)
 	}

@@ -217,12 +217,12 @@ func (r RunSpec) Build() (*Study, error) {
 	return r.build(nil)
 }
 
-// BuildFromSnapshot materializes the spec over a restored world: the
-// snapshot's RSA identities are installed up front (zero key generation
-// for every device it covers) and the spec's own profile list, fault
-// schedule, probes and concurrency are applied on top. The snapshot must
-// carry the spec's seed — restoring mismatched key material would
-// silently change every device identity, so it is rejected instead.
+// BuildFromSnapshot materializes the spec over a restored world, the one
+// way to restore World.Snapshot output: the snapshot's RSA identities are
+// installed up front (zero key generation for every device it covers)
+// and the spec's own profile and device sets, fault schedule, probes and
+// concurrency are applied on top. The snapshot must carry the spec's
+// seed.
 func (r RunSpec) BuildFromSnapshot(snapshot []byte) (*Study, error) {
 	return r.build(snapshot)
 }
@@ -250,13 +250,11 @@ func (r RunSpec) build(snapshot []byte) (*Study, error) {
 	}
 	var world *World
 	if snapshot != nil {
-		if world, err = restoreWorld(snapshot, profiles, c.Devices); err != nil {
-			return nil, err
-		}
-		if world.Seed() != c.Seed {
-			return nil, fmt.Errorf("wideleak: snapshot seed %q does not match request seed %q", world.Seed(), c.Seed)
-		}
-	} else if world, err = NewWorldDevices(c.Seed, profiles, c.Devices); err != nil {
+		world, err = restoreWorld(snapshot, c.Seed, profiles, c.Devices)
+	} else {
+		world, err = NewWorldDevices(c.Seed, profiles, c.Devices)
+	}
+	if err != nil {
 		return nil, err
 	}
 	if c.Faults != nil {

@@ -163,56 +163,23 @@ func (t *Table) probeIDs() []string {
 }
 
 // BuildTable runs every selected probe for every app and assembles
-// Table I. It fans rows out over Study.Concurrency workers (default
-// runtime.GOMAXPROCS(0)); the result is byte-identical to the sequential
-// build because every app draws from its own deterministic rand stream.
+// Table I. It fans rows out over Study.Concurrency workers (<= 0 selects
+// runtime.GOMAXPROCS(0), 1 is the sequential build); the result is
+// byte-identical at every setting because every app draws from its own
+// deterministic rand stream. Rows are reassembled in profile order, the
+// first error in profile order is propagated, and no further rows start
+// once any worker has failed.
 func (s *Study) BuildTable() (*Table, error) {
-	return s.BuildTableCtx(context.Background())
-}
-
-// BuildTableCtx is BuildTable under a caller-supplied context: cancelling
-// it stops the build at the next probe boundary, making long studies
-// abortable jobs. A cancelled build returns the context's error.
-func (s *Study) BuildTableCtx(ctx context.Context) (*Table, error) {
-	return s.BuildTableParallelCtx(ctx, s.Concurrency)
-}
-
-// BuildTableParallel assembles Table I with up to parallelism app rows in
-// flight at once (<= 0 selects runtime.GOMAXPROCS(0), 1 is the sequential
-// build). Rows are reassembled in profile order, and the first error in
-// profile order is propagated; remaining rows are not started once any
-// worker has failed.
-func (s *Study) BuildTableParallel(parallelism int) (*Table, error) {
-	return s.BuildTableParallelCtx(context.Background(), parallelism)
-}
-
-// BuildTableParallelCtx is BuildTableParallel bounded by a context: row
-// workers observe cancellation between probes, and no further rows start
-// once the context is done.
-func (s *Study) BuildTableParallelCtx(ctx context.Context, parallelism int) (*Table, error) {
 	selected, _, err := probeRegistry.Resolve(s.Probes)
 	if err != nil {
 		return nil, err
 	}
 	profiles := s.World.Profiles()
+	parallelism := s.Concurrency
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	if parallelism > len(profiles) {
-		parallelism = len(profiles)
-	}
-
-	if parallelism <= 1 {
-		t := &Table{Probes: selected}
-		for _, p := range profiles {
-			row, err := s.buildRowGraceful(ctx, p.Name)
-			if err != nil {
-				return nil, fmt.Errorf("wideleak: row %s: %w", p.Name, err)
-			}
-			t.Rows = append(t.Rows, *row)
-		}
-		return t, nil
-	}
+	parallelism = min(parallelism, len(profiles))
 
 	rows := make([]*Row, len(profiles))
 	errs := make([]error, len(profiles))
@@ -224,7 +191,7 @@ func (s *Study) BuildTableParallelCtx(ctx context.Context, parallelism int) (*Ta
 		go func() {
 			defer wg.Done()
 			for idx := range next {
-				rows[idx], errs[idx] = s.buildRowGraceful(ctx, profiles[idx].Name)
+				rows[idx], errs[idx] = s.buildRowGraceful(profiles[idx].Name)
 				if errs[idx] != nil {
 					failed.Store(true)
 				}
@@ -232,7 +199,7 @@ func (s *Study) BuildTableParallelCtx(ctx context.Context, parallelism int) (*Ta
 		}()
 	}
 	for i := range profiles {
-		if failed.Load() || ctx.Err() != nil {
+		if failed.Load() {
 			break
 		}
 		next <- i
@@ -240,18 +207,12 @@ func (s *Study) BuildTableParallelCtx(ctx context.Context, parallelism int) (*Ta
 	close(next)
 	wg.Wait()
 
+	// Rows are fed in profile order, so a row never started sits after a
+	// failed one, whose error returns first.
 	t := &Table{Probes: selected, Rows: make([]Row, 0, len(profiles))}
 	for i, p := range profiles {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("wideleak: row %s: %w", p.Name, errs[i])
-		}
-		if rows[i] == nil {
-			// Rows are fed in profile order, so a skipped row sits after a
-			// failed one (returned above) or follows a context cancellation.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("wideleak: row %s: build skipped", p.Name)
 		}
 		t.Rows = append(t.Rows, *rows[i])
 	}
@@ -262,8 +223,8 @@ func (s *Study) BuildTableParallelCtx(ctx context.Context, parallelism int) (*Ta
 // through every retry — into an annotated row, so one unreachable
 // deployment costs its own cell, not the whole table. Every other error
 // (a genuine study bug) still propagates.
-func (s *Study) buildRowGraceful(ctx context.Context, app string) (*Row, error) {
-	row, err := s.buildRow(ctx, app)
+func (s *Study) buildRowGraceful(app string) (*Row, error) {
+	row, err := s.buildRow(app)
 	if err == nil {
 		return row, nil
 	}
@@ -276,19 +237,14 @@ func (s *Study) buildRowGraceful(ctx context.Context, app string) (*Row, error) 
 // buildRow resolves the study's probe selection and runs the execution
 // order — dependencies first, by registry construction — feeding each
 // probe the results it requires. Only selected probes land on the row.
-// Cancellation is observed between probes: a done context stops the row
-// before the next probe starts.
-func (s *Study) buildRow(ctx context.Context, app string) (*Row, error) {
+func (s *Study) buildRow(app string) (*Row, error) {
 	selected, execution, err := probeRegistry.Resolve(s.Probes)
 	if err != nil {
 		return nil, err
 	}
 	results := make(probe.Results, len(execution))
 	for _, id := range execution {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := s.runProbe(ctx, id, app, results)
+		res, err := s.runProbe(context.Background(), id, app, results)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
 package wideleak
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -116,7 +115,7 @@ func TestTableI_PrivateKeyBudget(t *testing.T) {
 		start := counters()
 		for _, p := range s.World.Profiles() {
 			before := counters()
-			if _, err := s.buildRowGraceful(context.Background(), p.Name); err != nil {
+			if _, err := s.buildRowGraceful(p.Name); err != nil {
 				t.Fatal(err)
 			}
 			got := since(before)

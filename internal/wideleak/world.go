@@ -258,11 +258,6 @@ func NewWorldDevices(seed string, profiles []ott.Profile, devices []string) (*Wo
 // Profiles returns the studied app profiles.
 func (w *World) Profiles() []ott.Profile { return w.profiles }
 
-// DeviceProfiles returns the world's device set in canonical order.
-func (w *World) DeviceProfiles() []device.Profile {
-	return append([]device.Profile(nil), w.devices...)
-}
-
 // DeviceNames returns the world's device profile names in canonical
 // order.
 func (w *World) DeviceNames() []string {

@@ -16,7 +16,7 @@
 //
 // BuildTable fans app rows out over Study.Concurrency workers (default
 // runtime.GOMAXPROCS(0)); set Concurrency to 1 for a strictly sequential
-// pass or call study.BuildTableParallel(n) for an explicit worker count.
+// pass or to n for an explicit worker count.
 // Every app draws from its own deterministic rand stream forked from the
 // world seed, so the rendered table is byte-identical at every
 // parallelism level. World.WarmFixtures pre-builds all device fixtures on
@@ -181,10 +181,6 @@ func NewWorldDevices(seed string, profiles []Profile, devices []string) (*World,
 // (registration) order — the full device axis.
 func DeviceProfiles() []DeviceProfile { return device.Profiles() }
 
-// DeviceProfileNames returns the registered device profile names in
-// canonical order.
-func DeviceProfileNames() []string { return device.ProfileNames() }
-
 // DefaultDeviceNames returns the default device set (the paper's
 // pixel/l3/nexus5 trio), in canonical order.
 func DefaultDeviceNames() []string { return device.DefaultProfileNames() }
@@ -240,19 +236,6 @@ func ValidateProbes(ids []string) error { return wideleak.ValidateProbes(ids) }
 // rate of connection attempts; the stock retry policies mask it, so the
 // study's results are unchanged — only the virtual timeline stretches.
 func TransientFaults(rate float64) FaultProfile { return wideleak.TransientFaults(rate) }
-
-// RestoreWorld rebuilds a world from World.Snapshot output in
-// milliseconds: cheap state is re-derived from the seed and the expensive
-// Device RSA identities are installed from the snapshot, so the restored
-// world renders Table I byte-identical to a fresh build with zero key
-// generation.
-func RestoreWorld(data []byte) (*World, error) { return wideleak.RestoreWorld(data) }
-
-// RestoreWorldProfiles is RestoreWorld with a profile override (nil = the
-// snapshot's own profile list).
-func RestoreWorldProfiles(data []byte, profiles []Profile) (*World, error) {
-	return wideleak.RestoreWorldProfiles(data, profiles)
-}
 
 // NewKeyPool builds a fresh, unshared Device RSA key pool for a world
 // seed ("" = "default"): keys pre-minted here are byte-identical to the

@@ -42,6 +42,9 @@ race:
 	# gets a dedicated -race pass: hammer tests exercise singleflight
 	# mints and first use of one store pool under contention.
 	$(GO) test -race -count=1 -run 'TestKeyPool|TestKeyStore' ./internal/provision
+	# The process-wide title store gets one too: N goroutines deploying
+	# every app from one new seed package each app's titles once.
+	$(GO) test -race -count=1 -run 'TestTitleStore' ./internal/ott
 
 # bench runs the in-process benchmark suite declared in cmd/benchmerge
 # and records each entry's median over its runs into BENCH_inner.json,
@@ -67,7 +70,9 @@ bench-guard:
 # handlers, the surface forged E7 requests hit: no panic, only
 # 200/400/403/404) and FuzzSubmitBody (arbitrary bodies POSTed to the
 # daemon's study and batch submit endpoints, every job cancelled before
-# it starts: no panic, only 200/202/400/429/503), each for FUZZTIME (go
+# it starts: no panic, only 200/202/400/429/503) and FuzzRouterSubmit
+# (the same through the fleet router's endpoints, over in-process
+# replicas that cancel every job at its start), each for FUZZTIME (go
 # permits one -fuzz pattern per invocation, hence one run per target).
 fuzz:
 	$(GO) test ./internal/dash -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
@@ -81,6 +86,7 @@ fuzz:
 	$(GO) test ./internal/wideleak -run '^$$' -fuzz '^FuzzRunSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ott -run '^$$' -fuzz '^FuzzBackend$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzRouterSubmit$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the fault-injection suite under the race detector: for the
 # five fixed seeds, Table I under transient faults must render

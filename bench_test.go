@@ -17,6 +17,7 @@ package wideleak
 //	BenchmarkE5_KeyLadder                 — §IV-D step 3 (ladder replay)
 //	BenchmarkE5_FullChain                 — §IV-D end to end
 //	BenchmarkE6_L1MemScan                 — the L1-resistance ablation
+//	BenchmarkWorldBuild/{new,known}_seed  — a ten-app world build, title-store miss vs hit
 //
 // Warm worlds are built once per test binary (device provisioning mints
 // 2048-bit RSA keys); iterations then measure the steady-state cost of
@@ -34,6 +35,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/monitor"
 	"repro/internal/oemcrypto"
+	"repro/internal/ott"
 	iwl "repro/internal/wideleak"
 )
 
@@ -523,3 +525,42 @@ func BenchmarkE6_L1MemScan(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWorldBuild prices building the ten-app world (no device is
+// made and no key minted: fixtures and provisioning are lazy). new_seed
+// builds on a seed no earlier iteration used, so every app's titles miss
+// the process-wide title store and are packaged; known_seed rebuilds one
+// seed built before timing, so every app's titles are title-store hits.
+// Every new seed also adds an empty pool to the key store, evicting the
+// oldest, so this runs after the benchmarks that keep a prewarmed pool.
+func BenchmarkWorldBuild(b *testing.B) {
+	build := func(b *testing.B, seed func() string, wantPackaged int) {
+		b.Helper()
+		packaged := ott.TitlesPackaged()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := iwl.NewWorld(seed(), nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if got := ott.TitlesPackaged() - packaged; got != int64(b.N*wantPackaged) {
+			b.Fatalf("%d world builds packaged %d times, want %d", b.N, got, b.N*wantPackaged)
+		}
+	}
+	apps := len(ott.Profiles())
+	b.Run("new_seed", func(b *testing.B) {
+		build(b, func() string { return fmt.Sprintf("bench-world-build-%d", worldBuildSeeds.Add(1)) }, apps)
+	})
+	b.Run("known_seed", func(b *testing.B) {
+		if _, err := iwl.NewWorld("bench-world-build", nil); err != nil {
+			b.Fatal(err)
+		}
+		build(b, func() string { return "bench-world-build" }, 0)
+	})
+}
+
+// worldBuildSeeds numbers BenchmarkWorldBuild/new_seed's seeds in this
+// process.
+var worldBuildSeeds atomic.Int64

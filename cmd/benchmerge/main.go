@@ -74,6 +74,10 @@ var suite = []row{
 	{`^BenchmarkManifestProtocols$/^dash_cold$`, "100x", 5, "ns/repack"},
 	{`^BenchmarkManifestProtocols$/^(hls|sstr)_cold$`, "20x", 5, "ns/repack"},
 	{`^BenchmarkManifestProtocols$/_memoized$`, "100x", 5, "ns/lookup"},
+	// A ten-app world build: every title packaged, then every title a
+	// title-store hit.
+	{`^BenchmarkWorldBuild$/^new_seed$`, "30x", 5, "ns/op"},
+	{`^BenchmarkWorldBuild$/^known_seed$`, "1000x", 5, "ns/op"},
 }
 
 // tolerance is the one regression bound: a median more than 25% over

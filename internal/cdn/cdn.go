@@ -8,13 +8,20 @@
 // canonical DASH manifest is stored once, and HLS / Smooth Streaming forms
 // are repackaged on the fly (and memoized) when a client asks by
 // extension — the manifesto translator shape.
+//
+// What a server stores is its Catalog. A catalog never changes once
+// built, apart from its memo of repacked forms, so many servers can
+// share one: every world of a seed serves an app's title from one
+// catalog, repacked once per dialect.
 package cdn
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dash"
 	"repro/internal/manifest"
@@ -31,102 +38,156 @@ const (
 // ErrNotFound is returned for unknown manifests or objects.
 var ErrNotFound = errors.New("cdn: not found")
 
-// Server is one CDN host.
-type Server struct {
-	host string
+// repacks counts dialect repackagings by every catalog in the process.
+var repacks atomic.Int64
 
-	mu        sync.RWMutex
+// Repacks reports how many dialect forms every catalog in this process
+// has repacked from a canonical manifest (memoized answers excluded).
+func Repacks() int64 { return repacks.Load() }
+
+// Catalog is the stored half of a CDN: the packaged titles' objects,
+// each title's canonical MPD bytes, and the dialect forms repacked from
+// them. Objects and manifests are fixed when the catalog is built; the
+// repack memo only gains entries, each a pure function of a stored
+// manifest. So one catalog can back any number of servers.
+type Catalog struct {
 	objects   map[string][]byte
 	manifests map[string][]byte
-	// repacked memoizes on-the-fly dialect conversions, keyed
-	// "<contentID>.<ext>" — the canonical form never changes after
-	// ingest, so a conversion is computed at most once.
+
+	// mu guards repacked and is held across a repack, so concurrent
+	// first requests for one form repack it once.
+	mu sync.Mutex
+	// repacked memoizes dialect conversions, keyed
+	// "<contentID>.<ext>".
 	repacked map[string][]byte
-	// served counts manifest serves per dialect name (the
-	// wideleakd_manifests_served_total metric source).
-	served map[string]int64
 }
 
-// NewServer builds an empty CDN for the given hostname.
-func NewServer(host string) *Server {
-	return &Server{
-		host:      host,
-		objects:   make(map[string][]byte),
-		manifests: make(map[string][]byte),
+// NewCatalog builds a catalog of packaged titles: all their files plus
+// each manifest in canonical (DASH) form.
+func NewCatalog(titles ...*media.Packaged) (*Catalog, error) {
+	return (&Catalog{}).with(titles...)
+}
+
+// with returns a new catalog holding c's objects and manifests plus the
+// titles'. c itself is unchanged.
+func (c *Catalog) with(titles ...*media.Packaged) (*Catalog, error) {
+	out := &Catalog{
+		objects:   make(map[string][]byte, len(c.objects)),
+		manifests: make(map[string][]byte, len(c.manifests)+len(titles)),
 		repacked:  make(map[string][]byte),
-		served:    make(map[string]int64),
 	}
+	maps.Copy(out.objects, c.objects)
+	maps.Copy(out.manifests, c.manifests)
+	for _, p := range titles {
+		mpd, err := p.MPD.Marshal()
+		if err != nil {
+			return nil, fmt.Errorf("cdn: ingest %q: %w", p.ContentID, err)
+		}
+		maps.Copy(out.objects, p.Files)
+		out.manifests[p.ContentID] = mpd
+	}
+	return out, nil
 }
 
-// Host returns the CDN's hostname.
-func (s *Server) Host() string { return s.host }
-
-// AddPackaged ingests one packaged title: all files plus its manifest in
-// canonical (DASH) form. Dialect forms are derived lazily on first request.
-func (s *Server) AddPackaged(p *media.Packaged) error {
-	mpd, err := p.MPD.Marshal()
-	if err != nil {
-		return fmt.Errorf("cdn: ingest %q: %w", p.ContentID, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for path, data := range p.Files {
-		s.objects[path] = data
-	}
-	s.manifests[p.ContentID] = mpd
-	return nil
-}
-
-// Manifest returns a content's canonical MPD bytes. It does not count as a
-// dialect serve — backends use it for internal processing (sealing,
-// regional rewrites); the counting entry point is ManifestDialect.
-func (s *Server) Manifest(contentID string) ([]byte, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m, ok := s.manifests[contentID]
-	return m, ok
-}
-
-// ManifestDialect returns a content's manifest in the named dialect
-// ("" = canonical DASH), repackaging from the stored canonical form on
-// first request and memoizing the result. Every successful call counts
-// toward the per-dialect serve totals.
-func (s *Server) ManifestDialect(contentID, dialectName string) ([]byte, error) {
-	d, err := manifest.ByName(dialectName)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.RLock()
-	stored, ok := s.manifests[contentID]
-	s.mu.RUnlock()
+// dialectForm returns a stored title's manifest in dialect d,
+// repackaging the canonical form on first request.
+func (c *Catalog) dialectForm(contentID string, d manifest.Dialect) ([]byte, error) {
+	stored, ok := c.manifests[contentID]
 	if !ok {
 		return nil, fmt.Errorf("%w: manifest %s", ErrNotFound, contentID)
 	}
 	if d.Name() == manifest.DefaultName {
-		s.count(d.Name())
 		return stored, nil
 	}
 	memoKey := contentID + "." + d.Extension()
-	s.mu.RLock()
-	repacked, hit := s.repacked[memoKey]
-	s.mu.RUnlock()
-	if hit {
-		s.count(d.Name())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if repacked, hit := c.repacked[memoKey]; hit {
 		return repacked, nil
 	}
 	mpd, err := dash.Parse(stored)
 	if err != nil {
 		return nil, fmt.Errorf("cdn: repack %s: %w", contentID, err)
 	}
-	repacked, err = d.Serialize(mpd)
+	repacked, err := d.Serialize(mpd)
 	if err != nil {
 		return nil, fmt.Errorf("cdn: repack %s as %s: %w", contentID, d.Name(), err)
 	}
-	s.mu.Lock()
-	s.repacked[memoKey] = repacked
-	s.mu.Unlock()
-	s.count(d.Name())
+	c.repacked[memoKey] = repacked
+	repacks.Add(1)
 	return repacked, nil
+}
+
+// Server is one CDN host: a catalog plus the host's own serve counts.
+type Server struct {
+	host string
+
+	mu      sync.RWMutex
+	catalog *Catalog
+	// served counts manifest serves per dialect name (the
+	// wideleakd_manifests_served_total metric source).
+	served map[string]int64
+}
+
+// NewServer builds a CDN for the given hostname over an empty catalog
+// of its own.
+func NewServer(host string) *Server {
+	return NewCatalogServer(host, &Catalog{})
+}
+
+// NewCatalogServer builds a CDN for the given hostname serving a
+// catalog, which other servers may share.
+func NewCatalogServer(host string, catalog *Catalog) *Server {
+	return &Server{host: host, catalog: catalog, served: make(map[string]int64)}
+}
+
+// Host returns the CDN's hostname.
+func (s *Server) Host() string { return s.host }
+
+// AddPackaged ingests one packaged title: all files plus its manifest in
+// canonical (DASH) form. Dialect forms are derived lazily on first
+// request. The server moves to a copy of its catalog with the title
+// added, so a catalog other servers share never changes.
+func (s *Server) AddPackaged(p *media.Packaged) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c, err := s.catalog.with(p)
+	if err != nil {
+		return err
+	}
+	s.catalog = c
+	return nil
+}
+
+func (s *Server) cat() *Catalog {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.catalog
+}
+
+// Manifest returns a content's canonical MPD bytes. It does not count as a
+// dialect serve — backends use it for internal processing (sealing,
+// regional rewrites); the counting entry point is ManifestDialect.
+func (s *Server) Manifest(contentID string) ([]byte, bool) {
+	m, ok := s.cat().manifests[contentID]
+	return m, ok
+}
+
+// ManifestDialect returns a content's manifest in the named dialect
+// ("" = canonical DASH), repackaging from the stored canonical form on
+// the catalog's first request and memoizing the result. Every successful
+// call counts toward this server's per-dialect serve totals.
+func (s *Server) ManifestDialect(contentID, dialectName string) ([]byte, error) {
+	d, err := manifest.ByName(dialectName)
+	if err != nil {
+		return nil, err
+	}
+	out, err := s.cat().dialectForm(contentID, d)
+	if err != nil {
+		return nil, err
+	}
+	s.count(d.Name())
+	return out, nil
 }
 
 func (s *Server) count(dialectName string) {
@@ -148,9 +209,7 @@ func (s *Server) ServeCounts() map[string]int64 {
 
 // Object returns one stored asset.
 func (s *Server) Object(path string) ([]byte, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	o, ok := s.objects[path]
+	o, ok := s.cat().objects[path]
 	return o, ok
 }
 

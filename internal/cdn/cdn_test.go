@@ -132,3 +132,78 @@ func TestHandler_RetriedFetchUnderFaults(t *testing.T) {
 		t.Errorf("404 reached the handler %d times, want 1", handlerCalls)
 	}
 }
+
+// Servers filled by AddPackaged each hold a private catalog, so each
+// repacks a dialect form on its own first request — the cost a
+// standalone server prices — even when both ingested one Packaged.
+func TestAddPackaged_PrivateCatalogsEachRepack(t *testing.T) {
+	p := packagedTitle(t)
+	var forms [2][]byte
+	for i := range forms {
+		s := cdn.NewServer("cdn.example")
+		if err := s.AddPackaged(p); err != nil {
+			t.Fatal(err)
+		}
+		before := cdn.Repacks()
+		for range 2 {
+			m, err := s.ManifestDialect("movie-1", "hls")
+			if err != nil {
+				t.Fatal(err)
+			}
+			forms[i] = m
+		}
+		if got := cdn.Repacks() - before; got != 1 {
+			t.Errorf("server %d repacked %d times over two requests, want 1", i, got)
+		}
+	}
+	if !bytes.Equal(forms[0], forms[1]) {
+		t.Error("the two servers repacked different bytes")
+	}
+}
+
+// Servers over one catalog share its objects and its repack memo, and
+// keep their own serve counts. AddPackaged on one of them leaves the
+// shared catalog, and so every other server, unchanged.
+func TestCatalogServer_SharedCatalog(t *testing.T) {
+	catalog, err := cdn.NewCatalog(packagedTitle(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := cdn.NewCatalogServer("cdn.a", catalog)
+	b := cdn.NewCatalogServer("cdn.b", catalog)
+	before := cdn.Repacks()
+	for _, s := range []*cdn.Server{a, b, a} {
+		if _, err := s.ManifestDialect("movie-1", "sstr"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cdn.Repacks() - before; got != 1 {
+		t.Errorf("two servers over one catalog repacked %d times, want 1", got)
+	}
+	if got := a.ServeCounts()["sstr"]; got != 2 {
+		t.Errorf("server a counted %d sstr serves, want 2", got)
+	}
+	if got := b.ServeCounts()["sstr"]; got != 1 {
+		t.Errorf("server b counted %d sstr serves, want 1", got)
+	}
+	const path = "movie-1/video/540p/init.mp4"
+	oa, _ := a.Object(path)
+	ob, ok := b.Object(path)
+	if !ok || len(oa) == 0 || &oa[0] != &ob[0] {
+		t.Fatal("servers over one catalog do not share its objects")
+	}
+
+	other := &media.Packaged{ContentID: "movie-2", Files: map[string][]byte{"movie-2/x": {1}}, MPD: packagedTitle(t).MPD}
+	if err := a.AddPackaged(other); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := a.Manifest("movie-2"); !ok {
+		t.Error("AddPackaged title missing from its own server")
+	}
+	if _, ok := b.Manifest("movie-2"); ok {
+		t.Error("AddPackaged on one server reached another server's shared catalog")
+	}
+	if _, ok := b.Object("movie-2/x"); ok {
+		t.Error("AddPackaged object reached the shared catalog")
+	}
+}

@@ -1,9 +1,9 @@
 // Package lru is the one bounded least-recently-used map of the
 // repository: the result cache of the study daemon, the process-wide
 // Device RSA key store, the matrix scheduler's cell cache, the Device RSA
-// private-key memo, and the manifest and RSA key parse memos all hold
-// their entries in it. It is stdlib-only. Hit and miss counting stays
-// with the callers that report it.
+// private-key memo, the manifest and RSA key parse memos, and the OTT
+// title store all hold their entries in it. It is stdlib-only. Hit and
+// miss counting stays with the callers that report it.
 package lru
 
 import (
@@ -12,11 +12,11 @@ import (
 )
 
 // WarmSeeds is the number of world seeds every process-wide warm tier
-// keyed by seed is sized for: the Device RSA key store and the manifest
-// and RSA key parse memos. The test process with the most distinct
-// seeds, internal/wideleak's, uses 34 (internal/fleet 30, internal/serve
-// 18; the study daemon under perfbench uses 1), so 64 holds any one of
-// them without eviction.
+// keyed by seed is sized for: the Device RSA key store, the manifest
+// and RSA key parse memos, and the OTT title store. The test process
+// with the most distinct seeds, internal/wideleak's, uses 35
+// (internal/fleet 30, internal/serve 19; the study daemon under
+// perfbench uses 1), so 64 holds any one of them without eviction.
 const WarmSeeds = 64
 
 // Cache is a mutex-guarded LRU of at most a fixed number of entries.

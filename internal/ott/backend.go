@@ -11,7 +11,6 @@ import (
 	"repro/internal/dash"
 	"repro/internal/license"
 	"repro/internal/manifest"
-	"repro/internal/media"
 	"repro/internal/netsim"
 	"repro/internal/provision"
 	"repro/internal/wvcrypto"
@@ -62,28 +61,25 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// NewDeployment packages the app's catalog under its key policy, builds its
-// servers and registers its hosts on the network.
+// NewDeployment deploys the app's catalog packaged under its key policy
+// (by the process-wide title store when rand is a fresh deterministic
+// stream, see deployTitles), builds its servers and registers its hosts
+// on the network.
 func NewDeployment(profile Profile, contentIDs []string, registry *provision.Registry, network *netsim.Network, rand io.Reader) (*Deployment, error) {
+	titles, err := deployTitles(profile, contentIDs, rand)
+	if err != nil {
+		return nil, err
+	}
 	d := &Deployment{
 		Profile:    profile,
 		ContentIDs: append([]string(nil), contentIDs...),
-		cdnSrv:     cdn.NewServer(profile.CDNHost()),
+		cdnSrv:     cdn.NewCatalogServer(profile.CDNHost(), titles.catalog),
 		keyDB:      license.NewKeyDB(),
 		registry:   registry,
 		rand:       rand,
 	}
-	for _, contentID := range contentIDs {
-		tracks := media.GenerateTitle(contentID, media.DefaultGenerateOptions())
-		packaged, err := media.Package(contentID, tracks, profile.KeyPolicy, rand)
-		if err != nil {
-			return nil, fmt.Errorf("ott: package %s for %s: %w", contentID, profile.Name, err)
-		}
-		d.applyRegionalRestrictions(packaged.MPD)
-		if err := d.cdnSrv.AddPackaged(packaged); err != nil {
-			return nil, err
-		}
-		d.keyDB.Register(contentID, packaged.Keys)
+	for i, contentID := range contentIDs {
+		d.keyDB.Register(contentID, titles.keys[i])
 	}
 
 	d.licenseSrv = license.NewServer(d.keyDB, registry, license.Policy{
@@ -109,10 +105,10 @@ func (d *Deployment) CDN() *cdn.Server { return d.cdnSrv }
 
 // applyRegionalRestrictions mutates the manifest the way the authors' test
 // region saw it: missing subtitle sets and/or stripped key-ID metadata.
-func (d *Deployment) applyRegionalRestrictions(m *dash.MPD) {
+func applyRegionalRestrictions(profile Profile, m *dash.MPD) {
 	for pi := range m.Periods {
 		p := &m.Periods[pi]
-		if d.Profile.SubtitleUnavailable {
+		if profile.SubtitleUnavailable {
 			kept := p.AdaptationSets[:0]
 			for _, set := range p.AdaptationSets {
 				if set.ContentType != dash.ContentSubtitle {
@@ -121,7 +117,7 @@ func (d *Deployment) applyRegionalRestrictions(m *dash.MPD) {
 			}
 			p.AdaptationSets = kept
 		}
-		if d.Profile.HideKeyIDs {
+		if profile.HideKeyIDs {
 			for ai := range p.AdaptationSets {
 				set := &p.AdaptationSets[ai]
 				for ci := range set.ContentProtections {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -270,5 +271,57 @@ func TestServer_DecodeMemo(t *testing.T) {
 	if calls.manifest == 0 || calls.key == 0 || calls.manifest != hits.manifest || calls.key != hits.key {
 		t.Errorf("second computed study on the warmed seed: calls manifest %d rsa_key %d, hits manifest %d rsa_key %d; want equal and nonzero",
 			calls.manifest, calls.key, hits.manifest, hits.key)
+	}
+}
+
+// titleStoreRuns makes each run of TestServer_TitleStore (-count > 1) use
+// a seed no earlier run put in the title store.
+var titleStoreRuns int
+
+// The title-store series: the first computed study of a seed packages
+// each app's titles, and a second computed study of the seed (a new
+// world key, so no tier-1 entry or memoized cell answers it) reads one
+// title-store hit per app and packages nothing. No other test uses the
+// seed.
+func TestServer_TitleStore(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueSize: 4})
+	type counts struct{ calls, hits, packaged int64 }
+	read := func() counts {
+		m := metricsText(t, ts)
+		n := func(name string) int64 {
+			v, err := strconv.ParseInt(counterValue(t, m, name), 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		return counts{n("wideleakd_title_store_calls_total"), n("wideleakd_title_store_hits_total"), ott.TitlesPackaged()}
+	}
+
+	apps := []string{"Showtime", "Hulu"}
+	before := read()
+	titleStoreRuns++
+	seed := fmt.Sprintf("title-store-%d", titleStoreRuns)
+	spec := wideleak.RunSpec{Seed: seed, Profiles: apps, Probes: []string{"q2"}}
+	runDone(t, ts, spec)
+	first := read()
+	if got := first.packaged - before.packaged; got != int64(len(apps)) {
+		t.Errorf("first study of a new seed packaged %d times, want %d", got, len(apps))
+	}
+	if first.calls == before.calls {
+		t.Error("first study made no title-store calls")
+	}
+
+	replay := spec
+	replay.Faults = &wideleak.RunFaults{Rate: 1e-9, Seed: seed + "-replay"}
+	if st := runDone(t, ts, replay); st.Observations == 0 {
+		t.Fatal("replay study did no device work")
+	}
+	second := read()
+	if calls, hits := second.calls-first.calls, second.hits-first.hits; calls != int64(len(apps)) || hits != calls {
+		t.Errorf("second study of the seed: %d title-store calls, %d hits; want %d and %d", calls, hits, len(apps), len(apps))
+	}
+	if got := second.packaged - first.packaged; got != 0 {
+		t.Errorf("second study of the seed packaged %d times, want 0", got)
 	}
 }

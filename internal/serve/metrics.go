@@ -7,6 +7,7 @@ import (
 	"repro/internal/httpkit"
 	"repro/internal/manifest"
 	"repro/internal/netsim"
+	"repro/internal/ott"
 	"repro/internal/provision"
 	"repro/internal/wideleak"
 	"repro/internal/wideleak/probe"
@@ -163,6 +164,9 @@ func (m *Metrics) Render() string {
 	keyCalls, keyHits := wvcrypto.KeyParseMemoStats()
 	httpkit.Labeled(&b, "counter", "wideleakd_decode_memo_calls_total", "Manifest parses (through a registered dialect) and Device RSA key parses called by this process, memo hits included; the count is process-wide, so replicas spawned in one process share it.", "kind", map[string]int64{"manifest": manifestCalls, "rsa_key": keyCalls})
 	httpkit.Labeled(&b, "counter", "wideleakd_decode_memo_hits_total", "Manifest and Device RSA key parses answered by the process-wide parse memos without decoding; the count is process-wide, so replicas spawned in one process share it.", "kind", map[string]int64{"manifest": manifestHits, "rsa_key": keyHits})
+	titleCalls, titleHits := ott.TitleStoreStats()
+	httpkit.Counter(&b, "wideleakd_title_store_calls_total", "OTT deployments that looked up their packaged titles in the process-wide title store; the count is process-wide, so replicas spawned in one process share it.", titleCalls)
+	httpkit.Counter(&b, "wideleakd_title_store_hits_total", "Title-store lookups answered with an app's already packaged titles, so the deployment packaged nothing; the count is process-wide, so replicas spawned in one process share it.", titleHits)
 	httpkit.Counter(&b, "wideleakd_probe_degraded_total", "Probe runs that exhausted transport retries and degraded.", m.degraded)
 	httpkit.Counter(&b, "wideleakd_cells_cached_total", "Probe cells satisfied from the memoized cell LRU.", m.cellsCached)
 	httpkit.Counter(&b, "wideleakd_cells_executed_total", "Probe cells that actually ran a probe.", m.cellsExecuted)

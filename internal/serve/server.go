@@ -125,6 +125,9 @@ type Server struct {
 	// testHookJobStart, when set, runs at the top of every worker job —
 	// tests use it to hold jobs in the queued state deterministically.
 	testHookJobStart func(*Job)
+	// cancelAtStart cancels every job at the top of its run
+	// (CancelJobsAtStart).
+	cancelAtStart atomic.Bool
 }
 
 // New builds a server and starts its worker pool.
@@ -204,6 +207,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
+// CancelJobsAtStart makes the server cancel every job it dequeues before
+// the job does any engine work, so the job ends canceled. It is for
+// exercising the HTTP surface (fuzzing, in this package and through the
+// fleet router) without running studies; it is safe to call while the
+// server serves.
+func (s *Server) CancelJobsAtStart() { s.cancelAtStart.Store(true) }
+
 // worker drains the queue until Shutdown closes it.
 func (s *Server) worker() {
 	defer s.wg.Done()
@@ -218,6 +228,9 @@ func (s *Server) runJob(job *Job) {
 	defer s.inFlight.Add(-1)
 	if hook := s.testHookJobStart; hook != nil {
 		hook(job)
+	}
+	if s.cancelAtStart.Load() {
+		job.requestCancel()
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

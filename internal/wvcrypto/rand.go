@@ -71,16 +71,50 @@ func (r *DeterministicReader) Read(p []byte) (int, error) {
 	n := len(p)
 	for len(p) > 0 {
 		if len(r.buf) == 0 {
-			var block [40]byte
-			copy(block[:32], r.seed[:])
-			binary.BigEndian.PutUint64(block[32:], r.counter)
-			r.counter++
-			sum := sha256.Sum256(block[:])
-			r.buf = sum[:]
+			r.buf = r.nextBlock()
 		}
 		c := copy(p, r.buf)
 		p = p[c:]
 		r.buf = r.buf[c:]
 	}
 	return n, nil
+}
+
+// Offset reports how many bytes have been read (or skipped) since the
+// stream's origin.
+func (r *DeterministicReader) Offset() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.counter*blockSize - uint64(len(r.buf))
+}
+
+// Skip advances the stream by n bytes without producing them: the next
+// Read returns exactly what it would after reading n bytes. It hashes at
+// most one block, however large n is.
+func (r *DeterministicReader) Skip(n uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n <= uint64(len(r.buf)) {
+		r.buf = r.buf[n:]
+		return
+	}
+	pos := r.counter*blockSize - uint64(len(r.buf)) + n
+	r.counter, r.buf = pos/blockSize, nil
+	if rem := pos % blockSize; rem != 0 {
+		r.buf = r.nextBlock()[rem:]
+	}
+}
+
+// blockSize is the bytes one counter-mode block yields.
+const blockSize = sha256.Size
+
+// nextBlock hashes the block at the counter and advances it. The caller
+// holds r.mu.
+func (r *DeterministicReader) nextBlock() []byte {
+	var block [40]byte
+	copy(block[:32], r.seed[:])
+	binary.BigEndian.PutUint64(block[32:], r.counter)
+	r.counter++
+	sum := sha256.Sum256(block[:])
+	return sum[:]
 }

@@ -80,3 +80,28 @@ func TestDeterministicReader_ConcurrentReads(t *testing.T) {
 		<-done
 	}
 }
+
+// Skipping n bytes leaves a reader exactly where reading them does, from
+// any position (mid-block or on a block boundary) and for any n, and
+// Offset counts skipped bytes like read ones.
+func TestDeterministicReader_SkipMatchesRead(t *testing.T) {
+	for _, start := range []int{0, 1, 31, 32, 33, 100} {
+		for _, n := range []uint64{0, 1, 5, 31, 32, 33, 64, 95, 1000} {
+			read := NewDeterministicReader("skip")
+			skipped := NewDeterministicReader("skip")
+			readN(t, read, start)
+			readN(t, skipped, start)
+			readN(t, read, int(n))
+			skipped.Skip(n)
+			if got, want := skipped.Offset(), uint64(start)+n; got != want || read.Offset() != want {
+				t.Fatalf("start %d, n %d: offsets skip %d read %d, want %d", start, n, got, read.Offset(), want)
+			}
+			if !bytes.Equal(readN(t, skipped, 70), readN(t, read, 70)) {
+				t.Fatalf("start %d, n %d: skipped stream diverged from the read one", start, n)
+			}
+		}
+	}
+	if off := NewDeterministicReader("skip").Offset(); off != 0 {
+		t.Fatalf("new reader offset %d, want 0", off)
+	}
+}

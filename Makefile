@@ -63,7 +63,9 @@ bench-guard:
 # attacker-controlled bytes, the TEE world-boundary frame decoder among
 # them, the manifest parse memo against a direct decode (FuzzParseMemo:
 # two parses through the memo, the first answer mutated in between, each
-# equal to the dialect's own decode), the RSA keygen small-prime filter against its big.Int
+# equal to the dialect's own decode), FindBox against SplitBoxes plus a
+# linear search (FuzzFindBox: same box, same found flag, error iff
+# error), the RSA keygen small-prime filter against its big.Int
 # reference, FuzzRunSpec (RunSpec decode + Canonicalize: idempotent
 # canonical bytes, stable Key and WorldKey — what fleet failover
 # replays), FuzzBackend (an OTT deployment's license and provisioning
@@ -81,6 +83,7 @@ fuzz:
 	$(GO) test ./internal/manifest -run '^$$' -fuzz '^FuzzParseMemo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mp4 -run '^$$' -fuzz '^FuzzParseInitSegment$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mp4 -run '^$$' -fuzz '^FuzzParseMediaSegment$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mp4 -run '^$$' -fuzz '^FuzzFindBox$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oemcrypto -run '^$$' -fuzz '^FuzzTrustletFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wvcrypto -run '^$$' -fuzz '^FuzzSmallFactor$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wideleak -run '^$$' -fuzz '^FuzzRunSpec$$' -fuzztime $(FUZZTIME)

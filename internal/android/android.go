@@ -172,10 +172,11 @@ func (d *MediaDrm) GetKeyRequest(s oemcrypto.SessionID, contentID string, kids [
 }
 
 // ProvideKeyResponse feeds the license server's response back (Figure 1:
-// provideKeyResponse).
-func (d *MediaDrm) ProvideKeyResponse(s oemcrypto.SessionID, blob []byte) error {
+// provideKeyResponse) and returns the key IDs the CDM loaded, in the
+// response's order, as Android reports a session's key statuses.
+func (d *MediaDrm) ProvideKeyResponse(s oemcrypto.SessionID, blob []byte) ([][16]byte, error) {
 	if err := d.checkSession(s); err != nil {
-		return err
+		return nil, err
 	}
 	d.flow(FlowEvent{From: "Application", To: "MediaDRM Server", Call: "provideKeyResponse()"})
 	d.flow(FlowEvent{From: "MediaDRM Server", To: "CDM", Call: "provideKeyResponse()"})
@@ -183,13 +184,20 @@ func (d *MediaDrm) ProvideKeyResponse(s oemcrypto.SessionID, blob []byte) error 
 	signed := d.sessions[s].lastKeyRequest
 	d.mu.Unlock()
 	if signed == nil {
-		return fmt.Errorf("android: provideKeyResponse before getKeyRequest")
+		return nil, fmt.Errorf("android: provideKeyResponse before getKeyRequest")
 	}
 	var resp cdm.LicenseResponse
 	if err := json.Unmarshal(blob, &resp); err != nil {
-		return fmt.Errorf("android: key response: %w", err)
+		return nil, fmt.Errorf("android: key response: %w", err)
 	}
-	return d.client.ProcessLicenseResponse(s, signed, &resp)
+	if err := d.client.ProcessLicenseResponse(s, signed, &resp); err != nil {
+		return nil, err
+	}
+	kids := make([][16]byte, len(resp.Keys))
+	for i, k := range resp.Keys {
+		kids[i] = k.KID
+	}
+	return kids, nil
 }
 
 // CryptoSession mirrors MediaDrm.getCryptoSession: generic crypto over a

@@ -131,8 +131,17 @@ func (f *fixture) license(t *testing.T, contentID string, keys []license.KeyEntr
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.drm.ProvideKeyResponse(s, respBlob); err != nil {
+	kids, err := f.drm.ProvideKeyResponse(s, respBlob)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(kids) != len(resp.Keys) {
+		t.Fatalf("ProvideKeyResponse loaded %d keys, the response carries %d", len(kids), len(resp.Keys))
+	}
+	for i, k := range resp.Keys {
+		if kids[i] != k.KID {
+			t.Fatalf("loaded key %d is %x, the response's is %x", i, kids[i], k.KID)
+		}
 	}
 	return s
 }
@@ -202,7 +211,7 @@ func TestProvideKeyResponse_BeforeRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.drm.ProvideKeyResponse(s, []byte("{}")); err == nil {
+	if _, err := f.drm.ProvideKeyResponse(s, []byte("{}")); err == nil {
 		t.Error("want error for response before request")
 	}
 }

@@ -49,16 +49,25 @@ var (
 type Encryptor struct {
 	scheme string
 	block  cipher.Block
-	key    []byte
 	rand   io.Reader
 }
 
 // NewEncryptor builds an encryptor for the given scheme ("cenc" or "cbcs").
 // rand supplies per-sample IVs.
 func NewEncryptor(scheme string, key []byte, rand io.Reader) (*Encryptor, error) {
-	if scheme != mp4.SchemeCENC && scheme != mp4.SchemeCBCS {
-		return nil, fmt.Errorf("%w: %q", ErrBadScheme, scheme)
+	if err := checkScheme(scheme); err != nil {
+		return nil, err
 	}
+	block, err := NewBlock(key)
+	if err != nil {
+		return nil, err
+	}
+	return &Encryptor{scheme: scheme, block: block, rand: rand}, nil
+}
+
+// NewBlock expands a content key's AES-128 schedule, for a caller that
+// decrypts many samples under one key (DecryptSample).
+func NewBlock(key []byte) (cipher.Block, error) {
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("%w: got %d", ErrBadKey, len(key))
 	}
@@ -66,7 +75,14 @@ func NewEncryptor(scheme string, key []byte, rand io.Reader) (*Encryptor, error)
 	if err != nil {
 		return nil, fmt.Errorf("cenc: %w", err)
 	}
-	return &Encryptor{scheme: scheme, block: block, key: append([]byte(nil), key...), rand: rand}, nil
+	return block, nil
+}
+
+func checkScheme(scheme string) error {
+	if scheme != mp4.SchemeCENC && scheme != mp4.SchemeCBCS {
+		return fmt.Errorf("%w: %q", ErrBadScheme, scheme)
+	}
+	return nil
 }
 
 // Scheme returns the encryptor's protection scheme.
@@ -131,13 +147,14 @@ func DecryptSegment(scheme string, key []byte, seg *mp4.MediaSegment) error {
 	return nil
 }
 
-// DecryptSample decrypts one sample given its senc entry. The attack's
-// media ripper uses this directly on dumped samples.
-func DecryptSample(scheme string, key []byte, iv [8]byte, subsamples []mp4.SubsampleEntry, data []byte) ([]byte, error) {
-	e, err := NewEncryptor(scheme, key, nil)
-	if err != nil {
+// DecryptSample decrypts one sample given its senc entry, under a
+// content key's expanded schedule (NewBlock): a CDM that decrypts every
+// sample of a play under one loaded key expands that key once.
+func DecryptSample(scheme string, block cipher.Block, iv [8]byte, subsamples []mp4.SubsampleEntry, data []byte) ([]byte, error) {
+	if err := checkScheme(scheme); err != nil {
 		return nil, err
 	}
+	e := Encryptor{scheme: scheme, block: block}
 	return e.cryptSample(data, iv, subsamples, false)
 }
 

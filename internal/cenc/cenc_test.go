@@ -2,6 +2,7 @@ package cenc
 
 import (
 	"bytes"
+	"crypto/cipher"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -20,6 +21,16 @@ func testSegment(samples ...[]byte) *mp4.MediaSegment {
 
 func testContentKey() []byte {
 	return []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+}
+
+// testBlock expands key's schedule for DecryptSample.
+func testBlock(t testing.TB, key []byte) cipher.Block {
+	t.Helper()
+	block, err := NewBlock(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return block
 }
 
 func TestEncryptDecryptSegment_CENC(t *testing.T) {
@@ -135,9 +146,17 @@ func TestNewEncryptor_Validation(t *testing.T) {
 
 func TestDecryptSample_SubsampleMismatch(t *testing.T) {
 	subs := []mp4.SubsampleEntry{{ClearBytes: 4, ProtectedBytes: 100}}
-	_, err := DecryptSample(mp4.SchemeCENC, testContentKey(), [8]byte{}, subs, []byte("too short"))
+	_, err := DecryptSample(mp4.SchemeCENC, testBlock(t, testContentKey()), [8]byte{}, subs, []byte("too short"))
 	if !errors.Is(err, ErrSubsampleMismatch) {
 		t.Errorf("err = %v, want ErrSubsampleMismatch", err)
+	}
+}
+
+// DecryptSample validates the scheme itself: the block carries none.
+func TestDecryptSample_BadScheme(t *testing.T) {
+	_, err := DecryptSample("cens", testBlock(t, testContentKey()), [8]byte{}, nil, []byte("sample"))
+	if !errors.Is(err, ErrBadScheme) {
+		t.Errorf("err = %v, want ErrBadScheme", err)
 	}
 }
 
@@ -154,7 +173,7 @@ func TestDecryptSample_NoSubsamplesIsFullSample(t *testing.T) {
 	}
 	iv := seg.Encryption.Entries[0].IV
 	// Decrypt with a nil subsample map → full-sample.
-	got, err := DecryptSample(mp4.SchemeCENC, key, iv, nil, seg.SampleData[0])
+	got, err := DecryptSample(mp4.SchemeCENC, testBlock(t, key), iv, nil, seg.SampleData[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,11 +359,12 @@ func BenchmarkDecryptSegment_CENC(b *testing.B) {
 	}
 	encrypted := seg.SampleData[0]
 	entry := seg.Encryption.Entries[0]
+	block := testBlock(b, key)
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecryptSample(mp4.SchemeCENC, key, entry.IV, entry.Subsamples, encrypted); err != nil {
+		if _, err := DecryptSample(mp4.SchemeCENC, block, entry.IV, entry.Subsamples, encrypted); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,29 +37,34 @@ type RawBox struct {
 func SplitBoxes(b []byte) ([]RawBox, error) {
 	var out []RawBox
 	for len(b) > 0 {
-		box, rest, err := readBox(b)
+		typ, payload, rest, err := readBox(b)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, box)
+		out = append(out, RawBox{BoxType: string(typ), Payload: payload})
 		b = rest
 	}
 	return out, nil
 }
 
 // FindBox returns the first box of the given type in a box sequence, and
-// whether it was found.
+// whether it was found. Like SplitBoxes it frames the whole sequence, so
+// a malformed box anywhere in b fails the call, but it builds no slice
+// of boxes: a hit allocates nothing.
 func FindBox(b []byte, boxType string) (RawBox, bool, error) {
-	boxes, err := SplitBoxes(b)
-	if err != nil {
-		return RawBox{}, false, err
-	}
-	for _, box := range boxes {
-		if box.BoxType == boxType {
-			return box, true, nil
+	var found RawBox
+	ok := false
+	for len(b) > 0 {
+		typ, payload, rest, err := readBox(b)
+		if err != nil {
+			return RawBox{}, false, err
 		}
+		if !ok && string(typ) == boxType {
+			found, ok = RawBox{BoxType: boxType, Payload: payload}, true
+		}
+		b = rest
 	}
-	return RawBox{}, false, nil
+	return found, ok, nil
 }
 
 // FindPath descends a path of container types (e.g. "moov", "trak",
@@ -100,29 +105,30 @@ func FindAll(b []byte, boxType string) ([]RawBox, error) {
 	return out, nil
 }
 
-// readBox parses one box from the front of b, supporting the 64-bit
+// readBox splits the box at the front of b into its fourcc, its payload
+// and the bytes after it, without copying, supporting the 64-bit
 // largesize form (size == 1).
-func readBox(b []byte) (RawBox, []byte, error) {
+func readBox(b []byte) (typ, payload, rest []byte, err error) {
 	if len(b) < 8 {
-		return RawBox{}, nil, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(b))
+		return nil, nil, nil, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(b))
 	}
 	size := uint64(binary.BigEndian.Uint32(b))
-	boxType := string(b[4:8])
+	typ = b[4:8]
 	headerLen := uint64(8)
 	switch size {
 	case 0: // box extends to end of buffer
 		size = uint64(len(b))
 	case 1: // 64-bit largesize
 		if len(b) < 16 {
-			return RawBox{}, nil, fmt.Errorf("%w: largesize header", ErrTruncated)
+			return nil, nil, nil, fmt.Errorf("%w: largesize header", ErrTruncated)
 		}
 		size = binary.BigEndian.Uint64(b[8:])
 		headerLen = 16
 	}
 	if size < headerLen || size > uint64(len(b)) {
-		return RawBox{}, nil, fmt.Errorf("%w: box %q size %d, buffer %d", ErrBadBox, boxType, size, len(b))
+		return nil, nil, nil, fmt.Errorf("%w: box %q size %d, buffer %d", ErrBadBox, typ, size, len(b))
 	}
-	return RawBox{BoxType: boxType, Payload: b[headerLen:size]}, b[size:], nil
+	return typ, b[headerLen:size], b[size:], nil
 }
 
 // AppendBox appends a box with the given type and payload to dst, using

@@ -105,6 +105,23 @@ func TestFindBoxAndPath(t *testing.T) {
 	}
 }
 
+// FindBox frames the sequence in place: a hit, even one past a box of
+// another type, allocates nothing.
+func TestFindBox_HitAllocatesNothing(t *testing.T) {
+	var b []byte
+	b = AppendBox(b, "mfhd", []byte("header"))
+	b = AppendBox(b, "traf", []byte("fragment"))
+	b = AppendBox(b, "mdat", []byte("media"))
+	allocs := testing.AllocsPerRun(100, func() {
+		if box, ok, err := FindBox(b, "traf"); err != nil || !ok || string(box.Payload) != "fragment" {
+			t.Fatalf("FindBox = %+v, %v, %v", box, ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("FindBox hit allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestFindAll(t *testing.T) {
 	var b []byte
 	b = AppendBox(b, "pssh", []byte("1"))

@@ -1,6 +1,7 @@
 package mp4
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -145,6 +146,42 @@ func FuzzParseInitSegment(f *testing.F) {
 		// Downstream consumers read these without re-validating.
 		_ = init.Track.Protection
 		_, _ = IsProtected(data)
+	})
+}
+
+// FuzzFindBox checks FindBox against SplitBoxes plus a linear search:
+// the same first box of the type, the same found flag, and an error
+// exactly when SplitBoxes fails. Run via `make fuzz`.
+func FuzzFindBox(f *testing.F) {
+	valid := validInit()
+	f.Add(valid, "moov")
+	f.Add(valid, "free")
+	f.Add(append(AppendBox(nil, "trak", []byte("t")), "\x00\x00"...), "trak")
+	f.Add(AppendBox(AppendBox(nil, "pssh", []byte("1")), "pssh", []byte("2")), "pssh")
+	f.Add([]byte{}, "moov")
+	f.Add([]byte("\x00\x00\x00\x01mdat\x00\x00\x00\x00\x00\x00\x00\x10"), "mdat")
+	f.Fuzz(func(t *testing.T, data []byte, boxType string) {
+		got, found, err := FindBox(data, boxType)
+		boxes, splitErr := SplitBoxes(data)
+		if (err != nil) != (splitErr != nil) {
+			t.Fatalf("FindBox err %v, SplitBoxes err %v", err, splitErr)
+		}
+		if err != nil {
+			return
+		}
+		var want RawBox
+		wantFound := false
+		for _, box := range boxes {
+			if box.BoxType == boxType {
+				want, wantFound = box, true
+				break
+			}
+		}
+		if found != wantFound || got.BoxType != want.BoxType || !bytes.Equal(got.Payload, want.Payload) ||
+			len(got.Payload) > 0 && &got.Payload[0] != &want.Payload[0] {
+			t.Fatalf("FindBox(%q) = %q %x %v, want %q %x %v", boxType,
+				got.BoxType, got.Payload, found, want.BoxType, want.Payload, wantFound)
+		}
 	})
 }
 

@@ -1,6 +1,7 @@
 package oemcrypto
 
 import (
+	"crypto/cipher"
 	"crypto/rsa"
 	"fmt"
 	"io"
@@ -50,9 +51,11 @@ type session struct {
 	selected    *loadedKey
 }
 
-// loadedKey is one unwrapped content key with its key-control expiry.
+// loadedKey is one unwrapped content key, held as its expanded AES
+// schedule so every sample decrypted under it reuses one expansion, with
+// its key-control expiry.
 type loadedKey struct {
-	key       []byte
+	block     cipher.Block
 	expiresAt time.Time // zero = unlimited
 }
 
@@ -306,10 +309,11 @@ func (c *core) loadKeys(id SessionID, message, mac []byte, keys []EncryptedKey) 
 		if err != nil {
 			return fmt.Errorf("oemcrypto: unwrap content key %x: %w", ek.KID, err)
 		}
-		if len(contentKey) != cenc.KeySize {
-			return fmt.Errorf("oemcrypto: content key %x has %d bytes", ek.KID, len(contentKey))
+		block, err := cenc.NewBlock(contentKey)
+		if err != nil {
+			return fmt.Errorf("oemcrypto: content key %x: %w", ek.KID, err)
 		}
-		lk := loadedKey{key: contentKey}
+		lk := loadedKey{block: block}
 		if ek.DurationSeconds > 0 {
 			lk.expiresAt = c.now().Add(time.Duration(ek.DurationSeconds) * time.Second)
 		}
@@ -350,7 +354,7 @@ func (c *core) decryptCENC(id SessionID, scheme string, iv [8]byte, subsamples [
 	if !lk.expiresAt.IsZero() && now.After(lk.expiresAt) {
 		return nil, ErrKeyExpired
 	}
-	out, err := cenc.DecryptSample(scheme, lk.key, iv, subsamples, data)
+	out, err := cenc.DecryptSample(scheme, lk.block, iv, subsamples, data)
 	if err != nil {
 		return nil, fmt.Errorf("oemcrypto: %w", err)
 	}

@@ -382,6 +382,63 @@ func TestLicenseAndDecrypt(t *testing.T) {
 	}
 }
 
+// A content key is held as its expanded AES schedule: re-loading a KID
+// in the same session under a different key makes DecryptCENC use the
+// new key, never the schedule of the one it replaced.
+func TestLoadKeys_ReloadReplacesKey(t *testing.T) {
+	kid := [16]byte{0xCD, 4, 5, 6}
+	oldKey, newKey := bytes.Repeat([]byte{0x11}, 16), bytes.Repeat([]byte{0x22}, 16)
+	plaintext := []byte("RELOAD-PROTECTED-SAMPLE-PAYLOAD!")
+	iv := [8]byte{7, 7, 7, 7, 7, 7, 7, 7}
+	encryptUnder := func(t *testing.T, key []byte) []byte {
+		var counter [16]byte
+		copy(counter[:8], iv[:])
+		stream, err := wvcrypto.CTRStream(key, counter[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := append([]byte(nil), plaintext...)
+		stream.XORKeyStream(ct, ct)
+		return ct
+	}
+	for name, mk := range fixtures(t) {
+		t.Run(name, func(t *testing.T) {
+			f := mk(t)
+			f.provision(t)
+			s := f.license(t, map[[16]byte][]byte{kid: oldKey})
+			decrypt := func(ct []byte) []byte {
+				t.Helper()
+				if err := f.engine.SelectKey(s, kid); err != nil {
+					t.Fatal(err)
+				}
+				res, err := f.engine.DecryptCENC(s, mp4.SchemeCENC, iv, nil, ct)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Data
+			}
+			if got := decrypt(encryptUnder(t, oldKey)); !bytes.Equal(got, plaintext) {
+				t.Fatal("first key does not decrypt its sample")
+			}
+
+			request := []byte("license-request-for-test-asset")
+			encSK, msg, mac, keys := f.server.licenseResponse(t, request, map[[16]byte][]byte{kid: newKey})
+			if err := f.engine.DeriveKeysFromSessionKey(s, encSK, request); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.engine.LoadKeys(s, msg, mac, keys); err != nil {
+				t.Fatal(err)
+			}
+			if got := decrypt(encryptUnder(t, newKey)); !bytes.Equal(got, plaintext) {
+				t.Error("after re-loading the KID, DecryptCENC does not use the new key")
+			}
+			if got := decrypt(encryptUnder(t, oldKey)); bytes.Equal(got, plaintext) {
+				t.Error("after re-loading the KID, the replaced key still decrypts")
+			}
+		})
+	}
+}
+
 func TestLicense_BadMAC(t *testing.T) {
 	kid := [16]byte{1}
 	for name, mk := range fixtures(t) {

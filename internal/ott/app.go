@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/android"
-	"repro/internal/cdm"
 	"repro/internal/cdn"
 	"repro/internal/dash"
 	"repro/internal/device"
@@ -470,16 +469,13 @@ func (a *App) acquireLicense(ctx context.Context, drm *android.MediaDrm, session
 		return nil, true, errors.New(decodeAPIError(resp))
 	}
 	a.recordFlow(android.FlowEvent{From: "License Server", To: "Application", Call: "License"})
-	if err := drm.ProvideKeyResponse(session, resp.Body); err != nil {
+	kids, err := drm.ProvideKeyResponse(session, resp.Body)
+	if err != nil {
 		return nil, false, err
 	}
-	var lr cdm.LicenseResponse
-	if err := json.Unmarshal(resp.Body, &lr); err != nil {
-		return nil, false, err
-	}
-	granted = make(map[[16]byte]bool, len(lr.Keys))
-	for _, k := range lr.Keys {
-		granted[k.KID] = true
+	granted = make(map[[16]byte]bool, len(kids))
+	for _, kid := range kids {
+		granted[kid] = true
 	}
 	return granted, false, nil
 }

@@ -9,30 +9,44 @@ import (
 	"repro/internal/lru"
 )
 
-// privateMemoEntries bounds the private-key memo. One default Table I
-// pass makes 27 + 27 private-key calls on a new world, so 1024 entries
-// hold the distinct results of about 19 such passes.
-const privateMemoEntries = 1024
+// rsaOpsPerWorld is the number of distinct RSA results one default
+// Table I pass stores on a new world: each of its 27 license exchanges
+// makes one SignPSS, one VerifyPSS, one EncryptOAEP and one DecryptOAEP
+// (TestTableI_PrivateKeyBudget pins the private half).
+const rsaOpsPerWorld = 4 * 27
 
-// Memo operations, hashed first into every memo key so a PSS entry can
-// never answer an OAEP call.
+// rsaMemoEntries bounds the RSA result memo: a seed's distinct results,
+// for as many seeds as the key store holds (lru.WarmSeeds, 64), so
+// 108 × 64 = 6912 results. Measured with runtime.MemStats, a signature
+// or ciphertext entry holds about 430 B of heap (its 256-byte value, the
+// 32-byte key, the LRU element and map slot), a plaintext or
+// verification entry about 190 B, so a seed's 108 results hold about
+// 33 KB and the full memo about 2.1 MB.
+const rsaMemoEntries = rsaOpsPerWorld * lru.WarmSeeds
+
+// Memo operations, hashed first into every memo key so an entry of one
+// operation can never answer another.
 const (
 	memoSignPSS     = "wvcrypto/memo/sign-pss"
 	memoDecryptOAEP = "wvcrypto/memo/decrypt-oaep"
+	memoVerifyPSS   = "wvcrypto/memo/verify-pss"
+	memoEncryptOAEP = "wvcrypto/memo/encrypt-oaep"
 )
 
-// privateKeyMemo is the process-wide memo behind SignPSS and
-// DecryptOAEP.
+// rsaMemo is the process-wide memo behind SignPSS, DecryptOAEP,
+// VerifyPSS and EncryptOAEP.
 //
 // Every world of one seed draws its license nonces, PSS salts and server
 // OAEP seeds from streams keyed by the seed alone, so each world of a
-// seed replays the same private-key operations on the same inputs; only
-// fault schedules, forked apart, differ between them. Once one world
-// has computed an exponentiation, every later world of the seed gets
-// its result from here. An entry is keyed by a hash of the operation,
-// the whole private key and every input byte, so only a caller holding
-// that private key, with those inputs, can reach it.
-var privateKeyMemo = newPrivateMemo(privateMemoEntries)
+// seed replays the same RSA operations on the same inputs, on both
+// sides of every license exchange; only fault schedules, forked apart,
+// differ between them. Once one world has computed an exponentiation,
+// every later world of the seed gets its result from here. A
+// private-key entry is keyed by a hash of the operation, the whole
+// private key and every input byte, so only a caller holding that
+// private key, with those inputs, can reach it; a public-key entry by
+// the operation, the public key and every input byte.
+var rsaMemo = newResultMemo(rsaMemoEntries)
 
 // keyParseMemoEntries bounds the key-parse memo: a seed's worlds
 // provision 27 distinct Device RSA keys, and the memo holds as many
@@ -50,20 +64,20 @@ const keyParseMemoEntries = 27 * lru.WarmSeeds
 // key; the key pool already hands one key to every world of its seed.
 var keyParseMemo = lru.New[[sha256.Size]byte, *rsa.PrivateKey](keyParseMemoEntries)
 
-// privateMemo is a bounded LRU of private-key results by memo key. It
-// holds only results crypto/rsa returned without error (a signature
-// after its re-encryption check, a plaintext after the OAEP padding
-// check), and hands out copies.
-type privateMemo struct {
+// resultMemo is a bounded LRU of RSA results by memo key. It holds only
+// results crypto/rsa returned without error (a signature after its
+// re-encryption check, a plaintext after the OAEP padding check, a
+// ciphertext, a verification that succeeded), and hands out copies.
+type resultMemo struct {
 	lru *lru.Cache[[sha256.Size]byte, []byte]
 }
 
-func newPrivateMemo(capacity int) *privateMemo {
-	return &privateMemo{lru: lru.New[[sha256.Size]byte, []byte](capacity)}
+func newResultMemo(capacity int) *resultMemo {
+	return &resultMemo{lru: lru.New[[sha256.Size]byte, []byte](capacity)}
 }
 
 // get returns a copy of the stored result for key.
-func (m *privateMemo) get(key [sha256.Size]byte) ([]byte, bool) {
+func (m *resultMemo) get(key [sha256.Size]byte) ([]byte, bool) {
 	out, ok := m.lru.Get(key)
 	if !ok {
 		return nil, false
@@ -73,25 +87,42 @@ func (m *privateMemo) get(key [sha256.Size]byte) ([]byte, bool) {
 
 // put stores a copy of out under key, evicting the least recently used
 // entry past the bound.
-func (m *privateMemo) put(key [sha256.Size]byte, out []byte) {
+func (m *resultMemo) put(key [sha256.Size]byte, out []byte) {
 	m.lru.Put(key, append([]byte(nil), out...))
 }
 
 // len reports the resident entry count.
-func (m *privateMemo) len() int { return m.lru.Len() }
+func (m *resultMemo) len() int { return m.lru.Len() }
 
-// memoKey hashes an operation, the whole private key (N, E and D) and
-// the operation's inputs into a memo key. Every part is length-prefixed,
-// so no two different (key, inputs) tuples share an encoding.
-func memoKey(op string, key *rsa.PrivateKey, inputs ...[]byte) [sha256.Size]byte {
-	var e [8]byte
-	binary.BigEndian.PutUint64(e[:], uint64(key.E))
+// privateKey returns the memo-key parts of a private key: N, E and D.
+func privateKey(key *rsa.PrivateKey) [][]byte {
+	return append(publicKey(&key.PublicKey), intBytes(key.D))
+}
+
+// publicKey returns the memo-key parts of a public key: N and E.
+func publicKey(pub *rsa.PublicKey) [][]byte {
+	e := binary.BigEndian.AppendUint64(nil, uint64(pub.E))
+	return [][]byte{intBytes(pub.N), e}
+}
+
+// memoKey hashes an operation, a key's parts (privateKey or publicKey)
+// and the operation's inputs into a memo key. Every part is
+// length-prefixed, so no two different (key, inputs) tuples of one
+// operation share an encoding.
+func memoKey(op string, key [][]byte, inputs ...[]byte) [sha256.Size]byte {
 	h := sha256.New()
-	for _, part := range append([][]byte{[]byte(op), intBytes(key.N), e[:], intBytes(key.D)}, inputs...) {
-		var n [8]byte
+	var n [8]byte
+	write := func(part []byte) {
 		binary.BigEndian.PutUint64(n[:], uint64(len(part)))
 		h.Write(n[:])
 		h.Write(part)
+	}
+	write([]byte(op))
+	for _, part := range key {
+		write(part)
+	}
+	for _, part := range inputs {
+		write(part)
 	}
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])

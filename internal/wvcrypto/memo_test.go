@@ -33,19 +33,28 @@ func otherTestKey(t testing.TB) *rsa.PrivateKey {
 // freshMemo gives the test an empty process memo, restored afterwards,
 // so its hit counts do not depend on test order or -count.
 func freshMemo(t *testing.T) {
-	saved := privateKeyMemo
-	privateKeyMemo = newPrivateMemo(privateMemoEntries)
-	t.Cleanup(func() { privateKeyMemo = saved })
+	saved := rsaMemo
+	rsaMemo = newResultMemo(rsaMemoEntries)
+	t.Cleanup(func() { rsaMemo = saved })
 }
 
 // memoDelta reports the memo hits and resident entries gained since
 // the snapshot taken by the call that returned it.
 func memoDelta() func() (signHits, decryptHits int64, entries int) {
 	sign0, decrypt0 := PrivateKeyMemoHits()
-	len0 := privateKeyMemo.len()
+	len0 := rsaMemo.len()
 	return func() (int64, int64, int) {
 		sign1, decrypt1 := PrivateKeyMemoHits()
-		return sign1 - sign0, decrypt1 - decrypt0, privateKeyMemo.len() - len0
+		return sign1 - sign0, decrypt1 - decrypt0, rsaMemo.len() - len0
+	}
+}
+
+// publicDelta is memoDelta for the public-key operations.
+func publicDelta() func() (verifyHits, encryptHits int64, entries int) {
+	verify0, encrypt0 := verifyPSSHits.Load(), encryptOAEPHits.Load()
+	len0 := rsaMemo.len()
+	return func() (int64, int64, int) {
+		return verifyPSSHits.Load() - verify0, encryptOAEPHits.Load() - encrypt0, rsaMemo.len() - len0
 	}
 }
 
@@ -200,11 +209,143 @@ func TestSignPSS_MemoNeverCrossesKeys(t *testing.T) {
 	}
 }
 
+// A VerifyPSS hit answers only the exact (key, message, signature) that
+// crypto/rsa accepted: after a hit, a flipped bit in the signature or the
+// message, another key of the same size or the same modulus with another
+// exponent still verifies false, and no failure is stored.
+func TestVerifyPSS_MemoHitNeverWidens(t *testing.T) {
+	freshMemo(t)
+	key, other := sharedTestKey(t), otherTestKey(t)
+	msg := []byte("memo: license request to verify")
+	sig, err := SignPSS(NewDeterministicReader("memo-verify"), key, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	delta := publicDelta()
+	for i := 0; i < 2; i++ {
+		if !VerifyPSS(&key.PublicKey, msg, sig) {
+			t.Fatalf("call %d: valid signature rejected", i)
+		}
+	}
+	if hits, _, entries := delta(); hits != 1 || entries != 1 {
+		t.Fatalf("2 verifications of one signature: %d hits, %d new entries; want 1 and 1", hits, entries)
+	}
+
+	for _, pos := range []int{0, len(sig) / 2, len(sig) - 1} {
+		flipped := append([]byte(nil), sig...)
+		flipped[pos] ^= 0x01
+		if VerifyPSS(&key.PublicKey, msg, flipped) {
+			t.Errorf("signature with bit 0 of byte %d flipped verifies", pos)
+		}
+	}
+	for _, pos := range []int{0, len(msg) - 1} {
+		flipped := append([]byte(nil), msg...)
+		flipped[pos] ^= 0x80
+		if VerifyPSS(&key.PublicKey, flipped, sig) {
+			t.Errorf("message with byte %d flipped verifies", pos)
+		}
+	}
+	if other.N.BitLen() != key.N.BitLen() {
+		t.Fatalf("second key has %d bits, want %d", other.N.BitLen(), key.N.BitLen())
+	}
+	if VerifyPSS(&other.PublicKey, msg, sig) {
+		t.Error("signature verifies under another key of the same size")
+	}
+	if VerifyPSS(&rsa.PublicKey{N: key.N, E: 3}, msg, sig) {
+		t.Error("signature verifies under the same modulus with another exponent")
+	}
+	if hits, _, entries := delta(); hits != 1 || entries != 1 {
+		t.Errorf("after the rejections: %d hits, %d new entries; want still 1 and 1", hits, entries)
+	}
+	if !VerifyPSS(&key.PublicKey, msg, sig) {
+		t.Error("valid signature rejected after the rejections")
+	}
+}
+
+// EncryptOAEP reads exactly the 20-byte seed crypto/rsa would, on a miss
+// and on a hit alike, and returns crypto/rsa's ciphertext for that seed,
+// which DecryptOAEP opens. A different seed, plaintext or key misses.
+func TestEncryptOAEP_MemoReadsSeedOnce(t *testing.T) {
+	freshMemo(t)
+	key, other := sharedTestKey(t), otherTestKey(t)
+	sessionKey := bytes.Repeat([]byte{0xa5}, 16)
+	// stdlib encrypts with crypto/rsa alone, fed the next 20 bytes of a
+	// fresh stream under label, and returns the 48 bytes after them.
+	stdlib := func(label string, pub *rsa.PublicKey, pt []byte) (ct, after []byte) {
+		ref := NewDeterministicReader(label)
+		ct, err := rsa.EncryptOAEP(sha1.New(), bytes.NewReader(readN(t, ref, oaepSeedLen)), pub, pt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct, readN(t, ref, 48)
+	}
+	encrypt := func(label string, pub *rsa.PublicKey, pt []byte) (ct, after []byte) {
+		r := NewDeterministicReader(label)
+		ct, err := EncryptOAEP(r, pub, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct, readN(t, r, 48)
+	}
+
+	const label = "memo-oaep-encrypt"
+	want, wantAfter := stdlib(label, &key.PublicKey, sessionKey)
+	for i, wantHits := range []int{0, 1, 1} {
+		delta := publicDelta()
+		ct, after := encrypt(label, &key.PublicKey, sessionKey)
+		if _, hits, entries := delta(); int(hits) != wantHits || entries != 1-wantHits {
+			t.Fatalf("call %d: %d hits, %d new entries; want %d and %d", i, hits, entries, wantHits, 1-wantHits)
+		}
+		if !bytes.Equal(ct, want) {
+			t.Fatalf("call %d: ciphertext differs from crypto/rsa fed the same seed", i)
+		}
+		if !bytes.Equal(after, wantAfter) {
+			t.Fatalf("call %d: rand did not advance exactly %d bytes", i, oaepSeedLen)
+		}
+		pt, err := DecryptOAEP(key, ct)
+		if err != nil || !bytes.Equal(pt, sessionKey) {
+			t.Fatalf("call %d: DecryptOAEP = %x, %v", i, pt, err)
+		}
+		ct[0] ^= 0xff // callers own their copy
+	}
+
+	for _, c := range []struct {
+		name, label string
+		key         *rsa.PrivateKey
+		pt          []byte
+	}{
+		{"another seed", "memo-oaep-encrypt-2", key, sessionKey},
+		{"another plaintext", label, key, bytes.Repeat([]byte{0x5a}, 16)},
+		{"another key", label, other, sessionKey},
+	} {
+		delta := publicDelta()
+		ct, after := encrypt(c.label, &c.key.PublicKey, c.pt)
+		if _, hits, _ := delta(); hits != 0 {
+			t.Errorf("%s hit the memo", c.name)
+		}
+		if wantCT, wantAfter := stdlib(c.label, &c.key.PublicKey, c.pt); !bytes.Equal(ct, wantCT) || !bytes.Equal(after, wantAfter) {
+			t.Errorf("%s: ciphertext or stream position differs from crypto/rsa", c.name)
+		}
+		if pt, err := DecryptOAEP(c.key, ct); err != nil || !bytes.Equal(pt, c.pt) {
+			t.Errorf("%s: DecryptOAEP = %x, %v", c.name, pt, err)
+		}
+	}
+
+	entries0 := rsaMemo.len()
+	if _, err := EncryptOAEP(bytes.NewReader(make([]byte, oaepSeedLen-1)), &key.PublicKey, sessionKey); err == nil {
+		t.Error("encrypted with a short seed")
+	}
+	if n := rsaMemo.len(); n != entries0 {
+		t.Errorf("a failed encryption stored %d entries", n-entries0)
+	}
+}
+
 // The memo never holds more than its bound, evicting the least recently
 // used entry first.
-func TestPrivateMemo_Bound(t *testing.T) {
+func TestResultMemo_Bound(t *testing.T) {
 	const bound, extra = 8, 5
-	m := newPrivateMemo(bound)
+	m := newResultMemo(bound)
 	id := func(i int) [sha256.Size]byte { return sha256.Sum256([]byte(fmt.Sprint(i))) }
 	for i := 0; i < bound+extra; i++ {
 		m.put(id(i), []byte{byte(i)})
@@ -229,9 +370,9 @@ func TestPrivateMemo_Bound(t *testing.T) {
 	}
 
 	// Through the real entry points: bound + extra distinct ciphertexts.
-	saved := privateKeyMemo
-	privateKeyMemo = newPrivateMemo(bound)
-	t.Cleanup(func() { privateKeyMemo = saved })
+	saved := rsaMemo
+	rsaMemo = newResultMemo(bound)
+	t.Cleanup(func() { rsaMemo = saved })
 	key := sharedTestKey(t)
 	for i := 0; i < bound+extra; i++ {
 		ct, err := EncryptOAEP(NewDeterministicReader(fmt.Sprint("memo-bound-", i)), &key.PublicKey, []byte("0123456789abcdef"))
@@ -241,8 +382,8 @@ func TestPrivateMemo_Bound(t *testing.T) {
 		if _, err := DecryptOAEP(key, ct); err != nil {
 			t.Fatal(err)
 		}
-		if n := privateKeyMemo.len(); n > bound {
-			t.Fatalf("after %d decrypts the memo holds %d entries, bound %d", i+1, n, bound)
+		if n := rsaMemo.len(); n > bound {
+			t.Fatalf("after %d encrypt + decrypt pairs the memo holds %d entries, bound %d", i+1, n, bound)
 		}
 	}
 }
@@ -296,6 +437,52 @@ func TestPrivateKeyMemo_Concurrent(t *testing.T) {
 	}
 }
 
+// BenchmarkPublicKeyMemo prices the memo on the license server's side
+// of an exchange, one VerifyPSS and one EncryptOAEP per iteration: a hit
+// replays the same request and seed, as every later world of a seed
+// does; a miss verifies a signature the memo does not hold and encrypts
+// under a seed it has never seen, so it still prices crypto/rsa.
+func BenchmarkPublicKeyMemo(b *testing.B) {
+	key := sharedTestKey(b)
+	pub := &key.PublicKey
+	sessionKey := []byte("0123456789abcdef")
+	msgs := make([][]byte, 64)
+	sigs := make([][]byte, len(msgs))
+	for i := range msgs {
+		msgs[i] = []byte(fmt.Sprint("public-memo-bench-", i))
+		sig, err := SignPSS(NewDeterministicReader(fmt.Sprint("public-memo-bench-", i)), key, msgs[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		sigs[i] = sig
+	}
+	b.Run("hit", func(b *testing.B) {
+		const label = "public-memo-bench-hit"
+		if _, err := EncryptOAEP(NewDeterministicReader(label), pub, sessionKey); err != nil || !VerifyPSS(pub, msgs[0], sigs[0]) {
+			b.Fatal("priming the memo failed")
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			VerifyPSS(pub, msgs[0], sigs[0])
+			EncryptOAEP(NewDeterministicReader(label), pub, sessionKey)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		saved := rsaMemo
+		defer func() { rsaMemo = saved }()
+		seeds := NewDeterministicReader("public-memo-bench-miss")
+		for i := 0; i < b.N; i++ {
+			if i%len(msgs) == 0 {
+				b.StopTimer()
+				rsaMemo = newResultMemo(rsaMemoEntries)
+				b.StartTimer()
+			}
+			VerifyPSS(pub, msgs[i%len(msgs)], sigs[i%len(msgs)])
+			EncryptOAEP(seeds, pub, sessionKey)
+		}
+	})
+}
+
 // BenchmarkPrivateKeyMemo prices the memo: a hit, a miss (a ciphertext
 // never seen, so the exponentiation runs and its result is stored), the
 // same decryption through crypto/rsa alone, and the memo key hash that a
@@ -319,10 +506,10 @@ func BenchmarkPrivateKeyMemo(b *testing.B) {
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
-		saved := privateKeyMemo
-		defer func() { privateKeyMemo = saved }()
+		saved := rsaMemo
+		defer func() { rsaMemo = saved }()
 		for i := 0; i < b.N; i++ {
-			privateKeyMemo = newPrivateMemo(privateMemoEntries)
+			rsaMemo = newResultMemo(rsaMemoEntries)
 			DecryptOAEP(key, cts[i%len(cts)])
 		}
 	})
@@ -333,7 +520,7 @@ func BenchmarkPrivateKeyMemo(b *testing.B) {
 	})
 	b.Run("key-hash", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			memoKey(memoDecryptOAEP, key, cts[i%len(cts)])
+			memoKey(memoDecryptOAEP, privateKey(key), cts[i%len(cts)])
 		}
 	})
 }

@@ -116,8 +116,12 @@ func randomPrime(rand io.Reader, bits int) (*big.Int, error) {
 // signPSSCalls and decryptOAEPCalls count the Device RSA private-key
 // operations made through this package, the dominant cost of a computed
 // study; see PrivateKeyOps. signPSSHits and decryptOAEPHits count the
-// calls among them that the private-key memo answered.
+// calls among them that the RSA result memo answered.
 var signPSSCalls, decryptOAEPCalls, signPSSHits, decryptOAEPHits atomic.Int64
+
+// verifyPSSHits and encryptOAEPHits count the public-key calls the RSA
+// result memo answered.
+var verifyPSSHits, encryptOAEPHits atomic.Int64
 
 // PrivateKeyOps reports how many SignPSS and DecryptOAEP calls this
 // process has made so far, successful or not, memo hits included.
@@ -126,7 +130,7 @@ func PrivateKeyOps() (sign, decrypt int64) {
 }
 
 // PrivateKeyMemoHits reports how many of the SignPSS and DecryptOAEP
-// calls counted by PrivateKeyOps the private-key memo answered without
+// calls counted by PrivateKeyOps the RSA result memo answered without
 // an exponentiation. Calls minus hits is the RSA work actually done.
 func PrivateKeyMemoHits() (sign, decrypt int64) {
 	return signPSSHits.Load(), decryptOAEPHits.Load()
@@ -142,7 +146,7 @@ const pssSaltLen = sha256.Size
 //
 // The signature is a pure function of the key, the digest and the
 // 32-byte salt read from rand, so it is memoized on exactly those
-// (see privateMemo). The salt is read here, the way crypto/rsa reads it
+// (see rsaMemo). The salt is read here, the way crypto/rsa reads it
 // (one io.ReadFull, no MaybeReadByte), and handed to crypto/rsa through
 // a bytes.Reader, so rand advances by the same 32 bytes on a hit as on
 // a computed signature.
@@ -153,8 +157,8 @@ func SignPSS(rand io.Reader, key *rsa.PrivateKey, msg []byte) ([]byte, error) {
 	if _, err := io.ReadFull(rand, salt); err != nil {
 		return nil, fmt.Errorf("wvcrypto: pss sign: %w", err)
 	}
-	id := memoKey(memoSignPSS, key, digest[:], salt)
-	if sig, ok := privateKeyMemo.get(id); ok {
+	id := memoKey(memoSignPSS, privateKey(key), digest[:], salt)
+	if sig, ok := rsaMemo.get(id); ok {
 		signPSSHits.Add(1)
 		return sig, nil
 	}
@@ -164,38 +168,72 @@ func SignPSS(rand io.Reader, key *rsa.PrivateKey, msg []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wvcrypto: pss sign: %w", err)
 	}
-	privateKeyMemo.put(id, sig)
+	rsaMemo.put(id, sig)
 	return sig, nil
 }
 
 // VerifyPSS reports whether sig is a valid RSASSA-PSS signature of msg.
+//
+// Only a successful verification is memoized (see rsaMemo), keyed by
+// the public key, the digest and the whole signature, so a hit answers
+// exactly the inputs crypto/rsa accepted before; anything else, a
+// rejected signature included, is verified by crypto/rsa.
 func VerifyPSS(pub *rsa.PublicKey, msg, sig []byte) bool {
 	digest := sha256.Sum256(msg)
+	id := memoKey(memoVerifyPSS, publicKey(pub), digest[:], sig)
+	if _, ok := rsaMemo.get(id); ok {
+		verifyPSSHits.Add(1)
+		return true
+	}
 	err := rsa.VerifyPSS(pub, crypto.SHA256, digest[:], sig, &rsa.PSSOptions{
 		SaltLength: rsa.PSSSaltLengthEqualsHash,
 	})
-	return err == nil
+	if err != nil {
+		return false
+	}
+	rsaMemo.put(id, nil)
+	return true
 }
+
+// oaepSeedLen is the RSAES-OAEP seed length: the SHA-1 output size.
+const oaepSeedLen = sha1.Size
 
 // EncryptOAEP encrypts a session key to the device's RSA public key with
 // RSAES-OAEP (SHA-1, as in OEMCrypto's RewrapDeviceRSAKey / session-key
 // transport).
+//
+// The ciphertext is a pure function of the key, the plaintext and the
+// 20-byte seed read from rand, so it is memoized on exactly those (see
+// rsaMemo). The seed is read here, the way crypto/rsa reads it (one
+// io.ReadFull, no MaybeReadByte), and handed to crypto/rsa through a
+// bytes.Reader, so rand advances by the same 20 bytes on a hit as on a
+// computed ciphertext.
 func EncryptOAEP(rand io.Reader, pub *rsa.PublicKey, plaintext []byte) ([]byte, error) {
-	out, err := rsa.EncryptOAEP(sha1.New(), rand, pub, plaintext, nil)
+	seed := make([]byte, oaepSeedLen)
+	if _, err := io.ReadFull(rand, seed); err != nil {
+		return nil, fmt.Errorf("wvcrypto: oaep encrypt: %w", err)
+	}
+	id := memoKey(memoEncryptOAEP, publicKey(pub), plaintext, seed)
+	if out, ok := rsaMemo.get(id); ok {
+		encryptOAEPHits.Add(1)
+		return out, nil
+	}
+	out, err := rsa.EncryptOAEP(sha1.New(), bytes.NewReader(seed), pub, plaintext, nil)
 	if err != nil {
 		return nil, fmt.Errorf("wvcrypto: oaep encrypt: %w", err)
 	}
+	rsaMemo.put(id, out)
 	return out, nil
 }
 
 // DecryptOAEP recovers an OAEP-encrypted session key with the Device RSA
 // private key. The plaintext is a pure function of the key and the
-// ciphertext, so it is memoized on exactly those (see privateMemo); a
+// ciphertext, so it is memoized on exactly those (see rsaMemo); a
 // ciphertext that fails to decrypt fails on every call.
 func DecryptOAEP(key *rsa.PrivateKey, ciphertext []byte) ([]byte, error) {
 	decryptOAEPCalls.Add(1)
-	id := memoKey(memoDecryptOAEP, key, ciphertext)
-	if out, ok := privateKeyMemo.get(id); ok {
+	id := memoKey(memoDecryptOAEP, privateKey(key), ciphertext)
+	if out, ok := rsaMemo.get(id); ok {
 		decryptOAEPHits.Add(1)
 		return out, nil
 	}
@@ -203,7 +241,7 @@ func DecryptOAEP(key *rsa.PrivateKey, ciphertext []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wvcrypto: oaep decrypt: %w", err)
 	}
-	privateKeyMemo.put(id, out)
+	rsaMemo.put(id, out)
 	return out, nil
 }
 

@@ -18,6 +18,7 @@ package wideleak
 //	BenchmarkE5_FullChain                 — §IV-D end to end
 //	BenchmarkE6_L1MemScan                 — the L1-resistance ablation
 //	BenchmarkWorldBuild/{new,known}_seed  — a ten-app world build, title-store miss vs hit
+//	BenchmarkDeviceKeyMint                — one 2048-bit Device RSA key, from 8 fixed labels
 //
 // Warm worlds are built once per test binary (device provisioning mints
 // 2048-bit RSA keys); iterations then measure the steady-state cost of
@@ -37,6 +38,7 @@ import (
 	"repro/internal/oemcrypto"
 	"repro/internal/ott"
 	iwl "repro/internal/wideleak"
+	"repro/internal/wvcrypto"
 )
 
 // shared runs a benchmark's set-up once per test binary and hands every
@@ -564,3 +566,30 @@ func BenchmarkWorldBuild(b *testing.B) {
 // worldBuildSeeds numbers BenchmarkWorldBuild/new_seed's seeds in this
 // process.
 var worldBuildSeeds atomic.Int64
+
+// deviceKeyMintLabels are the fixed labels BenchmarkDeviceKeyMint mints
+// from in turn, so every run walks the same prime candidates; run it at a
+// multiple of 8 iterations (-benchtime 8x).
+var deviceKeyMintLabels = func() []string {
+	labels := make([]string, 8)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("wvcrypto-bench-rsa-%d", i)
+	}
+	return labels
+}()
+
+// BenchmarkDeviceKeyMint prices one Device RSA key generation, the cost
+// a world pays per device the first time its seed provisions it. The
+// cold-table rows price it only inside a whole cold study.
+func BenchmarkDeviceKeyMint(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		label := deviceKeyMintLabels[i%len(deviceKeyMintLabels)]
+		key, err := wvcrypto.GenerateRSAKey(wvcrypto.NewDeterministicReader(label))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if key.N.BitLen() != wvcrypto.RSABits {
+			b.Fatalf("%s: %d-bit modulus", label, key.N.BitLen())
+		}
+	}
+}

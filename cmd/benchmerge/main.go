@@ -68,6 +68,8 @@ var suite = []row{
 	{`^BenchmarkServer_ColdWithWorldCache$`, "30x", 3, "ns/op"},
 	// Cold worlds: every op mints its own 2048-bit device keys.
 	{`^BenchmarkTableI_Full_Parallel(1|4|N)$|^BenchmarkServer_Throughput$/^Cold$`, "1x", 3, "ns/op"},
+	// One device key mint, from the same 8 labels in every run.
+	{`^BenchmarkDeviceKeyMint$`, "8x", 5, "ns/op"},
 	// End-to-end served batches against sequential requests.
 	{`^BenchmarkMatrix(Devices)?$`, "1x", 5, "ns/op"},
 	// CDN manifest repackaging: first request, then every later one.

@@ -1,11 +1,11 @@
 // Package fleet shards the wideleakd study service across N replicas
 // behind one HTTP front end. The router consistent-hashes each request's
-// world identity (wideleak.RunSpec.WorldKey — seed + fault schedule)
-// onto a virtual-node hash ring, so every request for one world lands on
-// the same replica and turns N replicas into N independent warm cache
-// sets: identical requests are tier-1 hits, probe-subset variants of a
-// warmed world reuse its memoized cells and its seed's key pool, and no
-// cache entry is duplicated across the fleet.
+// world identity (wideleak.RunSpec.WorldKey — seed, devices, dialect and
+// fault schedule) onto a virtual-node hash ring, so every request for one
+// world lands on the same replica and turns N replicas into N independent
+// warm cache sets: identical requests are tier-1 hits, probe-subset
+// variants of a warmed world reuse its memoized cells and its seed's key
+// pool, and no cache entry is duplicated across the fleet.
 //
 // Routing is bounded-load consistent hashing with spill-on-failure: when
 // the ring owner is unhealthy, over its load bound, or sheds with 429,

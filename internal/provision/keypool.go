@@ -57,10 +57,12 @@ type KeyPool struct {
 	served atomic.Int64 // keys handed out that were already resident
 }
 
-// poolEntry is one device's singleflight mint guard.
+// poolEntry is one device's singleflight mint guard. Its key carries the
+// key's DER, encoded once per process, so no world of the seed encodes
+// it again.
 type poolEntry struct {
 	once sync.Once
-	key  *rsa.PrivateKey
+	key  deviceRSAKey
 	err  error
 }
 
@@ -86,14 +88,14 @@ func (p *KeyPool) Fingerprint() string { return p.root.Fingerprint() }
 // when, where, or how concurrently it was requested.
 func (p *KeyPool) Key(stableID string) (*rsa.PrivateKey, error) {
 	key, _, err := p.key(stableID)
-	return key, err
+	return key.key, err
 }
 
 // key reports, alongside the key, whether THIS call performed the
 // generation (false = the key was already resident or another caller's
 // in-flight mint was joined). The registry uses it to count the keygens
 // it is responsible for.
-func (p *KeyPool) key(stableID string) (*rsa.PrivateKey, bool, error) {
+func (p *KeyPool) key(stableID string) (deviceRSAKey, bool, error) {
 	p.mu.Lock()
 	e, ok := p.entries[stableID]
 	if !ok {
@@ -104,13 +106,14 @@ func (p *KeyPool) key(stableID string) (*rsa.PrivateKey, bool, error) {
 
 	mintedHere := false
 	e.once.Do(func() {
-		e.key, e.err = wvcrypto.GenerateRSAKey(p.root.Fork("rsa/" + stableID))
+		key, err := wvcrypto.GenerateRSAKey(p.root.Fork("rsa/" + stableID))
 		mintedHere = true
 		p.minted.Add(1)
 		keysMinted.Add(1)
-		if e.err == nil {
+		if e.err = err; err == nil {
+			e.key = newDeviceRSAKey(key)
 			p.mu.Lock()
-			p.ready[stableID] = e.key
+			p.ready[stableID] = key
 			p.mu.Unlock()
 		}
 	})
@@ -146,7 +149,7 @@ func (p *KeyPool) Install(stableID string, key *rsa.PrivateKey) {
 	}
 	p.mu.Unlock()
 	e.once.Do(func() {
-		e.key = key
+		e.key = newDeviceRSAKey(key)
 		p.mu.Lock()
 		p.ready[stableID] = key
 		p.mu.Unlock()

@@ -156,7 +156,7 @@ func TestRegistryKeyPoolPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(wvcrypto.MarshalRSAPrivateKey(key), wvcrypto.MarshalRSAPrivateKey(want)) {
+	if !bytes.Equal(key.der(), wvcrypto.MarshalRSAPrivateKey(want)) {
 		t.Fatal("registry served a key that differs from the deterministic mint")
 	}
 
@@ -171,9 +171,49 @@ func TestRegistryKeyPoolPath(t *testing.T) {
 	}
 
 	// A restored key stays in its registry: the pool may be shared.
-	cold.InstallRSAKey("PX-restored", key)
+	cold.InstallRSAKey("PX-restored", key.key)
 	if got := cold.KeyPool().Size(); got != 1 {
 		t.Fatalf("InstallRSAKey reached the pool: Size = %d, want 1", got)
+	}
+}
+
+// A key's DER is encoded once: two registries over one pool wrap and
+// export the pool entry's own bytes, and a registry encodes an installed
+// key once for all its exchanges and exports.
+func TestRegistry_EncodesEachKeyOnce(t *testing.T) {
+	const id = "PX-der"
+	pool := NewKeyPool(poolRoot())
+	var ders [][]byte
+	for range 2 {
+		reg := NewRegistry()
+		reg.UseKeyPool(pool)
+		key, err := reg.deviceRSA(id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(key.der(), wvcrypto.MarshalRSAPrivateKey(key.key)) {
+			t.Fatal("served DER is not the key's PKCS#1 encoding")
+		}
+		ders = append(ders, key.der(), reg.ExportRSAKeys()[id])
+	}
+	for _, der := range ders[1:] {
+		if &der[0] != &ders[0][0] {
+			t.Fatal("a registry over the pool encoded the key again")
+		}
+	}
+
+	reg := NewRegistry()
+	key, err := pool.Key(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.InstallRSAKey(id, key)
+	installed, err := reg.deviceRSA(id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if der := installed.der(); !bytes.Equal(der, ders[0]) || &reg.ExportRSAKeys()[id][0] != &der[0] {
+		t.Fatal("an installed key's DER is encoded more than once")
 	}
 }
 

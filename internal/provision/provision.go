@@ -37,7 +37,7 @@ var (
 type Registry struct {
 	mu         sync.RWMutex
 	deviceKeys map[string][16]byte
-	rsaKeys    map[string]*rsa.PrivateKey
+	rsaKeys    map[string]deviceRSAKey
 	minting    map[string]*rsaMint
 
 	// pool, when installed, is the registry's RSA mint path: keys come
@@ -52,12 +52,28 @@ type Registry struct {
 	mints atomic.Int64
 }
 
+// deviceRSAKey is a Device RSA key with its PKCS#1 DER, the bytes every
+// provisioning response wraps and every snapshot persists. The DER is
+// encoded on first use and shared by every copy of the value, so a key
+// is encoded at most once however many exchanges and registries use it,
+// and a restored key that no exchange uses is never encoded.
+type deviceRSAKey struct {
+	key *rsa.PrivateKey
+	der func() []byte
+}
+
+func newDeviceRSAKey(key *rsa.PrivateKey) deviceRSAKey {
+	return deviceRSAKey{key: key, der: sync.OnceValue(func() []byte {
+		return wvcrypto.MarshalRSAPrivateKey(key)
+	})}
+}
+
 // rsaMint is the in-flight singleflight guard for one device's RSA mint, so
 // concurrent provisioning of *different* devices generates keys in parallel
 // while duplicate requests for the same device share one generation.
 type rsaMint struct {
 	once sync.Once
-	key  *rsa.PrivateKey
+	key  deviceRSAKey
 	err  error
 }
 
@@ -65,7 +81,7 @@ type rsaMint struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		deviceKeys: make(map[string][16]byte),
-		rsaKeys:    make(map[string]*rsa.PrivateKey),
+		rsaKeys:    make(map[string]deviceRSAKey),
 		minting:    make(map[string]*rsaMint),
 	}
 }
@@ -98,19 +114,22 @@ func (r *Registry) MintCount() int64 { return r.mints.Load() }
 // the mint pool may be shared with every world of the seed, and a wrong
 // key must not reach them.
 func (r *Registry) InstallRSAKey(stableID string, key *rsa.PrivateKey) {
+	k := newDeviceRSAKey(key)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.rsaKeys[stableID] = key
+	r.rsaKeys[stableID] = k
 }
 
 // ExportRSAKeys returns every provisioned identity as PKCS#1 DER — the
-// registry's expensive state, in the shape world snapshots persist.
+// registry's expensive state, in the shape world snapshots persist. The
+// DER is the registry's own encoding, shared, not copied: callers must
+// not modify it.
 func (r *Registry) ExportRSAKeys() map[string][]byte {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make(map[string][]byte, len(r.rsaKeys))
-	for id, key := range r.rsaKeys {
-		out[id] = wvcrypto.MarshalRSAPrivateKey(key)
+	for id, k := range r.rsaKeys {
+		out[id] = k.der()
 	}
 	return out
 }
@@ -152,7 +171,7 @@ func (r *Registry) RSAPublicKey(stableID string) (*rsa.PublicKey, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &k.PublicKey, true
+	return &k.key.PublicKey, true
 }
 
 // deviceRSA returns (minting if needed) the device's RSA key pair, so
@@ -167,7 +186,7 @@ func (r *Registry) RSAPublicKey(stableID string) (*rsa.PublicKey, bool) {
 // fork — byte-identical either way.
 // Without a pool, generation reads from the caller's stream (the legacy
 // position-dependent path, kept for direct registry users).
-func (r *Registry) deviceRSA(stableID string, rand io.Reader) (*rsa.PrivateKey, error) {
+func (r *Registry) deviceRSA(stableID string, rand io.Reader) (deviceRSAKey, error) {
 	r.mu.Lock()
 	if k, ok := r.rsaKeys[stableID]; ok {
 		r.mu.Unlock()
@@ -179,7 +198,7 @@ func (r *Registry) deviceRSA(stableID string, rand io.Reader) (*rsa.PrivateKey, 
 	if pool != nil {
 		key, mintedHere, err := pool.key(stableID)
 		if err != nil {
-			return nil, err
+			return deviceRSAKey{}, err
 		}
 		if mintedHere {
 			r.mints.Add(1)
@@ -199,10 +218,13 @@ func (r *Registry) deviceRSA(stableID string, rand io.Reader) (*rsa.PrivateKey, 
 	r.mu.Unlock()
 
 	m.once.Do(func() {
-		m.key, m.err = wvcrypto.GenerateRSAKey(rand)
+		key, err := wvcrypto.GenerateRSAKey(rand)
 		r.mints.Add(1)
+		if m.err = err; err == nil {
+			m.key = newDeviceRSAKey(key)
+		}
 		r.mu.Lock()
-		if m.err == nil {
+		if err == nil {
 			r.rsaKeys[stableID] = m.key
 		}
 		delete(r.minting, stableID)
@@ -266,7 +288,7 @@ func (s *Server) Provision(req *cdm.ProvisioningRequest) (*cdm.ProvisioningRespo
 	if _, err := io.ReadFull(s.rand, iv); err != nil {
 		return nil, fmt.Errorf("provision: iv: %w", err)
 	}
-	wrapped, err := wvcrypto.EncryptCBC(keys.Enc, iv, wvcrypto.MarshalRSAPrivateKey(rsaKey))
+	wrapped, err := wvcrypto.EncryptCBC(keys.Enc, iv, rsaKey.der())
 	if err != nil {
 		return nil, fmt.Errorf("provision: wrap rsa key: %w", err)
 	}

@@ -147,11 +147,12 @@ func (r RunSpec) Key() (string, error) {
 // only in probe subset or profile list share one warmed world. The
 // device set IS included — it decides which cells a fixture builds and
 // which observation cells the study plays on, so worlds with different
-// device sets are different worlds. This is the cache key of the
-// service layer's second (fixture) tier, below the full RunSpec result
-// tier. The dialect IS included: fixtures bake profiles (and with them the
-// dialect each installed app speaks) into the world at build time, so
-// worlds cannot be shared across dialects.
+// device sets are different worlds. The dialect IS included: fixtures
+// bake profiles (and with them the dialect each installed app speaks)
+// into the world at build time, so worlds cannot be shared across
+// dialects. The matrix planner groups a batch's specs into one world per
+// key, and the fleet router routes every request of one key to the same
+// replica.
 func (r RunSpec) WorldKey() (string, error) {
 	c, err := r.Canonicalize()
 	if err != nil {

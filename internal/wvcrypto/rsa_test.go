@@ -127,8 +127,9 @@ func TestGenerateRSAKey_Deterministic(t *testing.T) {
 	}
 }
 
-// unfilteredRandomPrime is randomPrime without the small-prime filter,
-// the oracle the identical-keys argument is checked against.
+// unfilteredRandomPrime is randomPrime without the composite filters
+// and at ProbablyPrime(20), the oracle the identical-keys argument is
+// checked against.
 func unfilteredRandomPrime(rand io.Reader, bits int) (*big.Int, error) {
 	b := make([]byte, (bits+7)/8)
 	for {
@@ -175,11 +176,12 @@ func unfilteredPrimes(t *testing.T, rand io.Reader) (p, q *big.Int) {
 	}
 }
 
-// The small-prime filter must not move a single key: GenerateRSAKey
-// agrees with the unfiltered search on N, P and Q, and leaves the
-// stream at the same position, label after label.
+// Neither the two composite filters nor the lower Miller–Rabin round
+// count may move a single key: GenerateRSAKey agrees with the unfiltered
+// ProbablyPrime(20) search on N, P and Q, and leaves the stream at the
+// same position, label after label.
 func TestGenerateRSAKey_MatchesUnfilteredSearch(t *testing.T) {
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 16; i++ {
 		label := fmt.Sprintf("wvcrypto-unfiltered-oracle-%d", i)
 		filtered := NewDeterministicReader(label)
 		key, err := GenerateRSAKey(filtered)

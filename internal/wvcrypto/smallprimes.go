@@ -1,10 +1,23 @@
 package wvcrypto
 
-import "math/bits"
+import (
+	"math/big"
+	"math/bits"
+	"sort"
+)
 
-// smallPrimeBound bounds the trial-division filter: every odd prime below
-// it is tried against each prime candidate before Miller–Rabin.
-const smallPrimeBound = 1 << 12
+// The prime search filters each candidate in two stages before
+// Miller–Rabin. The first trial-divides by every odd prime below
+// smallPrimeBound, word by word (hasSmallFactor); the second takes one
+// gcd with the product of the primes in [smallPrimeBound, midPrimeBound)
+// (midFilter). One gcd stage over every odd prime below midPrimeBound
+// is slower than the two together, and a higher midPrimeBound pays more
+// per candidate for the modexps it saves.
+const (
+	smallPrimeBound = 1 << 12
+	midPrimeBits    = 16
+	midPrimeBound   = 1 << midPrimeBits
+)
 
 // primeGroup is a run of consecutive table primes whose product fits in
 // a uint64, so one word-by-word remainder serves the whole run.
@@ -14,15 +27,23 @@ type primeGroup struct {
 }
 
 // smallPrimeGroups holds the odd primes below smallPrimeBound, ascending,
-// packed into uint64 products. It is built once and only read afterwards.
-var smallPrimeGroups = buildPrimeGroups(smallPrimeBound)
+// packed into uint64 products; midPrimeProduct is the product of the
+// primes in [smallPrimeBound, midPrimeBound), an ~89,000-bit number.
+// Both are built once and only read afterwards.
+var smallPrimeGroups, midPrimeProduct = buildFilters()
 
-// buildPrimeGroups sieves the odd primes below bound and packs them
-// greedily, in ascending order, into groups whose product fits a uint64.
-func buildPrimeGroups(bound int) []primeGroup {
+// buildFilters sieves the odd primes below midPrimeBound once and splits
+// them between the two stages.
+func buildFilters() ([]primeGroup, *big.Int) {
+	primes := oddPrimesBelow(midPrimeBound)
+	split := sort.Search(len(primes), func(i int) bool { return primes[i] >= smallPrimeBound })
+	return buildPrimeGroups(primes[:split]), productOf(primes[split:])
+}
+
+// oddPrimesBelow sieves the odd primes below bound, ascending.
+func oddPrimesBelow(bound int) []uint64 {
 	composite := make([]bool, bound)
-	var groups []primeGroup
-	g := primeGroup{product: 1}
+	var primes []uint64
 	for p := 3; p < bound; p += 2 {
 		if composite[p] {
 			continue
@@ -30,19 +51,40 @@ func buildPrimeGroups(bound int) []primeGroup {
 		for m := p * p; m < bound; m += 2 * p {
 			composite[m] = true
 		}
-		hi, lo := bits.Mul64(g.product, uint64(p))
+		primes = append(primes, uint64(p))
+	}
+	return primes
+}
+
+// buildPrimeGroups packs primes greedily, in order, into groups whose
+// product fits a uint64.
+func buildPrimeGroups(primes []uint64) []primeGroup {
+	var groups []primeGroup
+	g := primeGroup{product: 1}
+	for _, p := range primes {
+		hi, lo := bits.Mul64(g.product, p)
 		if hi != 0 {
 			groups = append(groups, g)
 			g = primeGroup{product: 1}
-			lo = uint64(p)
+			lo = p
 		}
 		g.product = lo
-		g.primes = append(g.primes, uint64(p))
+		g.primes = append(g.primes, p)
 	}
 	if len(g.primes) > 0 {
 		groups = append(groups, g)
 	}
 	return groups
+}
+
+// productOf multiplies the numbers as a balanced tree, so the big
+// multiplications pair operands of equal size.
+func productOf(ns []uint64) *big.Int {
+	if len(ns) == 1 {
+		return new(big.Int).SetUint64(ns[0])
+	}
+	half := len(ns) / 2
+	return new(big.Int).Mul(productOf(ns[:half]), productOf(ns[half:]))
 }
 
 // hasSmallFactor reports whether the big-endian number b is divisible by
@@ -66,6 +108,32 @@ func hasSmallFactor(b []byte) bool {
 		}
 	}
 	return false
+}
+
+// midFilter is the second filter stage with its scratch numbers, which
+// it reuses from candidate to candidate. The zero value is ready to use.
+type midFilter struct {
+	q, r, g big.Int
+}
+
+// hasFactor reports whether n is divisible by a prime in
+// [smallPrimeBound, midPrimeBound) that is smaller than n itself, with
+// one reduction of midPrimeProduct mod n and one gcd, the test
+// crypto/internal/fips140/rsa runs before Miller–Rabin. The gcd is the
+// product of the range's primes that divide n. It is above 1 exactly
+// when one divides n, and it equals n below midPrimeBound only when n is
+// one of those primes (a product of two of them is above 2^24), which is
+// not flagged.
+func (f *midFilter) hasFactor(n *big.Int) bool {
+	if n.Sign() <= 0 {
+		return false
+	}
+	f.q.QuoRem(midPrimeProduct, n, &f.r)
+	f.g.GCD(nil, nil, &f.r, n)
+	if f.g.BitLen() <= 1 {
+		return false
+	}
+	return n.BitLen() > midPrimeBits || f.g.Cmp(n) != 0
 }
 
 // remainder returns the big-endian number b modulo m, one 64-bit word at
